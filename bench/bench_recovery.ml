@@ -119,7 +119,7 @@ let measure ~pooled =
            ~window_ns:40_000 ~open_ns:5_000 ~probes:2 ~brownout:0.3 ())
       ~watchdog:w ~max_conns:4 ()
   in
-  let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.worker_pool main_ctx) else None in
+  let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.pool main_ctx) else None in
   let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in
   let incidents = ref [] in
   let hang_tally = Byzantine.tally () in

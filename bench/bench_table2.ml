@@ -70,9 +70,12 @@ let paper_apache = [
 
 (* SSH latency: simulated end-to-end time (network round trips included) of
    one login and of one 10 MB upload. *)
+let scp_bytes = 10 * 1024 * 1024
+
 let ssh_latency variant =
   let k = Kernel.create () in
-  let env = Senv.install k in
+  (* The default 1 MiB upload cap would refuse the paper's 10 MB file. *)
+  let env = Senv.install ~max_upload_bytes:(2 * scp_bytes) k in
   let serve ep =
     match variant with
     | Vanilla -> Sshd_mono.serve_connection env ep
@@ -95,7 +98,7 @@ let ssh_latency variant =
       let conn = connect 1 in
       login_ns := Clock.now k.Kernel.clock - t0;
       Ssh_client.close conn;
-      let data = String.make (10 * 1024 * 1024) 'x' in
+      let data = String.make scp_bytes 'x' in
       (* like the paper's scp measurement, end to end including the
          connection and authentication *)
       let t0 = Clock.now k.Kernel.clock in

@@ -45,20 +45,19 @@ WEDGE_TRACE_SMOKE=1 dune exec bin/wedge_cli.exe -- trace httpd -n 25 -o "$trace_
 test -s "$trace_out"
 rm -f "$trace_out"
 
-# Correctness-harness gate: explore seeded schedules of the httpd chaos
-# scenario (Byzantine clients + armed fault plan) under the invariant
-# oracles; wedge_cli check exits nonzero — printing a shrunk repro
-# command — if any schedule violates an invariant.
-echo "== schedule exploration (smoke) =="
-WEDGE_CHECK_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd --schedules 25 --seed 1
+# Correctness-harness gate: explore 25 seeded schedules of every cell of
+# the server x feature scenario matrix (plain melee, fault storm with
+# induced hangs, pooled and reactor storms, sharded, synthesized
+# profiles; Byzantine clients + armed fault plans) under the invariant
+# oracles.  wedge_cli check exits nonzero — printing a shrunk repro
+# command — if any schedule violates an invariant, a storm ends with the
+# breaker open, or a frame or descriptor leaks.
+echo "== schedule exploration: scenario matrix =="
+dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1
 
-# Self-healing gate: a seeded fault storm with induced hangs against the
-# supervised httpd (watchdog cuts, breaker trips, quarantine) must pass
-# the oracles on every schedule and end with the breaker closed and zero
-# leaked frames or descriptors; then the MTTR benchmark must produce its
-# artifact (shrunk incident count under the smoke flag).
+# Recovery benchmark: the MTTR benchmark must produce its artifact
+# (shrunk incident count under the smoke flag).
 echo "== self-healing recovery (smoke) =="
-WEDGE_RECOVERY_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_storm --schedules 25 --seed 1
 WEDGE_RECOVERY_SMOKE=1 dune exec bench/main.exe -- recovery
 test -s BENCH_recovery.json
 
@@ -123,5 +122,12 @@ WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second
 cmp "$synth_first" "$synth_second"
 rm -f "$synth_first" "$synth_second"
 WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_synth --schedules 25 --seed 1
+
+# Paper Table 2 gate: the Apache throughput rows and the OpenSSH login and
+# 10 MB scp latencies must all run to completion (exit 0).
+echo "== table2 =="
+table2_start="$(date +%s)"
+dune exec bench/main.exe -- table2
+echo "table2: $(( $(date +%s) - table2_start )) s"
 
 echo "check.sh: all green"

@@ -1,4 +1,5 @@
-(* Checkable chaos scenarios for schedule exploration.
+(* Checkable chaos scenarios for schedule exploration: a server × feature
+   matrix.
 
    Each scenario builds a fresh simulated world (kernel, app, servers),
    runs a melee of Byzantine clients — optionally under an armed fault
@@ -9,6 +10,12 @@
    (tallies, guard stats, fault trace digest): two runs with the same
    seed and schedule policy must produce identical summaries, which is
    what [Explore] digests.
+
+   Every server supplies one {!kit} — how to boot it on a kernel, its
+   melee stimuli, its clean request or heal probe, its rejection
+   predicate and its summary extras — and every feature (plain, storm,
+   pool storm, reactor storm, sharded, synth) is written once against
+   the kit.  The registry is the product of the two.
 
    Failures are exceptions: [Oracle.Violation], [Refvm.Mismatch], a
    scenario's own end-state assertion, or anything a server let escape
@@ -23,7 +30,6 @@
    explorer actually catches schedule-dependent bugs. *)
 
 module Kernel = Wedge_kernel.Kernel
-module Rlimit = Wedge_kernel.Rlimit
 module Cost_model = Wedge_sim.Cost_model
 module Clock = Wedge_sim.Clock
 module Stats = Wedge_sim.Stats
@@ -127,173 +133,6 @@ let heal_breaker ~what guard clock probe =
   in
   go 0
 
-(* ------------------------------------------------------------------ *)
-(* POP3: partitioned server under flood + faults + slow-loris          *)
-
-let run_pop3 ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.03 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.03 [ Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"physmem.alloc" ~prob:0.002 [ Fault_plan.Enomem ]
-  end;
-  Fault_plan.disarm plan;
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let main_ctx = W.main_ctx app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let guard =
-    Guard.create ~clock:k.Kernel.clock ~header_deadline_ns:5_000 ~max_conns:4 ()
-  in
-  let t = Byzantine.tally () in
-  let loris = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 16 in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"pop3.guard" guard;
-      Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_loop main_ctx guard l);
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else if i mod 7 = 0 then
-              Byzantine.oversized t l ~size:2_000
-                ~is_rejection:(fun s -> contains s "too long")
-            else
-              Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
-                ~is_rejection)
-      done;
-      Fiber.spawn (fun () ->
-          Byzantine.slow_loris loris l ~clock:k.Kernel.clock ~step_ns:1_000
-            ~request:"USER alice\r\nQUIT\r\n" ~is_rejection);
-      Fiber.wait_until ~what:"pop3 melee resolved" (fun () ->
-          Byzantine.total t = n_clients && Byzantine.total loris = 1);
-      Fault_plan.disarm plan;
-      Guard.drain guard l)
-    (fun () ->
-      Printf.sprintf "pop3 %s loris_cut=%d %s degraded=%d plan=%s" (tally_to_string t)
-        loris.Byzantine.cut
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "pop3.degraded")
-        (plan_digest plan))
-
-(* ------------------------------------------------------------------ *)
-(* HTTPD: TLS-terminating partitioned server, garbage + real clients   *)
-
-let run_httpd ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"physmem.alloc" ~prob:0.001 [ Fault_plan.Enomem ]
-  end;
-  Fault_plan.disarm plan;
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let guard = Guard.create ~max_conns:4 () in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let served_bodies = ref 0 and client_errors = ref 0 in
-  let n_garbage = 8 and n_tls = 2 in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
-      Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 env guard l);
-      Fault_plan.arm plan;
-      for i = 1 to n_garbage do
-        Fiber.spawn (fun () ->
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else if i mod 5 = 0 then Byzantine.silent t l
-            else
-              (* Plaintext HTTP at a TLS endpoint: handshake garbage the
-                 worker must contain. *)
-              Byzantine.oneshot t l ~request:"GET /index.html HTTP/1.1\r\n\r\n" ~is_rejection)
-      done;
-      for i = 1 to n_tls do
-        Fiber.spawn (fun () ->
-            let rng = Drbg.create ~seed:(seed + i) in
-            match Chan.connect l with
-            | exception _ -> incr client_errors
-            | ep -> (
-                match
-                  Wedge_httpd.Https_client.get ~rng
-                    ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" ep
-                with
-                | { Wedge_httpd.Https_client.response = Some r; _ }
-                  when r.Wedge_httpd.Http.status = 200 ->
-                    incr served_bodies
-                | _ -> incr client_errors
-                | exception _ -> incr client_errors))
-      done;
-      (* The silent holder (i = 5) only resolves when drain force-cuts
-         it — this guard has no header deadline — so wait for everyone
-         else, drain, then wait for the straggler's cut to land. *)
-      (* [>=]: an injected chan fault can cut the silent holder early,
-         landing its tally before the drain below. *)
-      let n_silent = 1 in
-      Fiber.wait_until ~what:"httpd melee resolved" (fun () ->
-          Byzantine.total t >= n_garbage - n_silent
-          && !served_bodies + !client_errors >= n_tls);
-      Fault_plan.disarm plan;
-      Guard.drain guard l;
-      Fiber.wait_until ~what:"silent holders cut" (fun () ->
-          Byzantine.total t = n_garbage))
-    (fun () ->
-      Printf.sprintf "httpd %s tls_ok=%d tls_err=%d %s degraded=%d rejected=%d plan=%s"
-        (tally_to_string t) !served_bodies !client_errors
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "httpd.degraded")
-        (Stats.get k.Kernel.stats "httpd.rejected")
-        (plan_digest plan))
-
-(* ------------------------------------------------------------------ *)
-(* SSHD: fork-per-connection privsep baseline (COW churn) + garbage    *)
-
-let run_sshd ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let app = env.Wedge_sshd.Sshd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:6 () in
-  let guard = Guard.create ~max_conns:3 () in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 8 in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"sshd.guard" guard;
-      Fiber.spawn (fun () -> Wedge_sshd.Sshd_privsep.serve_loop env guard l);
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l
-                ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n" ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd melee resolved" (fun () -> Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      Guard.drain guard l)
-    (fun () ->
-      Printf.sprintf "sshd %s %s degraded=%d rejected=%d plan=%s" (tally_to_string t)
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "sshd.degraded")
-        (Stats.get k.Kernel.stats "sshd.rejected")
-        (plan_digest plan))
 
 (* ------------------------------------------------------------------ *)
 (* RACY: the deliberately schedule-dependent lost-update bug           *)
@@ -329,7 +168,7 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
   let spawn_worker yields_mid =
     Fiber.spawn (fun () ->
         let sc = W.sc_create () in
-        W.sc_mem_add sc tag Wedge_kernel.Prot.RW;
+        W.sc_mem_add sc tag Prot.RW;
         ignore (W.sthread_join main_ctx (W.sthread_create main_ctx sc (worker yields_mid) 0));
         incr done_n)
   in
@@ -347,6 +186,180 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
     (fun () -> Printf.sprintf "racy counter=%d" (W.read_u64 main_ctx addr))
 
 (* ------------------------------------------------------------------ *)
+(* The scenario kit: what a server brings to the matrix                *)
+
+(* One melee client; the kit supplies the bytes. *)
+type stimulus =
+  | Oneshot  (* the kit's [request] *)
+  | Half_close  (* the kit's [half_close] request, then close the write side *)
+  | Oversized of int * string  (* a line this long; rejected when the reply has the marker *)
+  | Silent  (* connect and never speak: only a drain resolves it *)
+  | Stall  (* the kit's [stall_prefix], then hang mid-frame *)
+
+(* Where a client connects: the one listener, or the shard its key
+   hashes to (with that shard's clock and environment). *)
+type 'env at = {
+  listener : string -> Chan.listener;
+  clock_of : string -> Clock.t;
+  env_of : string -> 'env;
+}
+
+(* Well-behaved clients next to the melee: each fetches from the
+   environment its key routes to and says whether it was served. *)
+type 'env real = {
+  label : string;
+  keys : string list;
+  fetch : 'env -> rng:Drbg.t -> Chan.ep -> bool;
+}
+
+type 'env kit = {
+  server : string;  (* stat prefix, scenario-name prefix *)
+  doc : string;  (* what the plain melee is *)
+  serve : (module Wedge_net.Server.SERVE with type env = 'env);
+  boot : seed:int -> Kernel.t -> 'env;
+  app : 'env -> W.app;
+  image_pages : int;
+  max_request_bytes : int option;
+  backlog : int;
+  max_conns : int;
+  header_deadline_ns : int option;  (* the plain and sharded guards' *)
+  chan_fault : float;  (* per-op chan.read / chan.write fault probability *)
+  enomem_fault : float option;  (* plain only *)
+  cgate_faults : bool;  (* the storm's worker calls callgates *)
+  request : string;
+  half_close : string;
+  stall_prefix : string;
+  rejection : string -> bool;
+  melee : int -> stimulus;  (* client [i] of the plain and sharded melee *)
+  clients : int;
+  loris : string option;  (* plain: one slow-loris client dribbling this *)
+  real : 'env real option;
+  storm_clients : int;
+  heal : ('env -> seed:int -> Chan.listener -> unit -> unit) option;
+      (* the storm's heal probe; default a one-shot [request] *)
+  counters : string list;  (* kernel stats (after the prefix) in the plain summary *)
+  synth_workload :
+    seed:int -> 'env -> Synth.t option -> (unit -> unit) * (unit -> bool * string);
+      (* a clean workload to run in a fiber, and its (succeeded, summary) *)
+  synth_counters : string list;
+}
+
+let counters_summary kit k names =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf " %s=%d" c (Stats.get k.Kernel.stats (kit.server ^ "." ^ c)))
+       names)
+
+let stimulate kit at t ~key = function
+  | Oneshot ->
+      Byzantine.oneshot t (at.listener key) ~request:kit.request ~is_rejection:kit.rejection
+  | Half_close ->
+      Byzantine.half_close t (at.listener key) ~request:kit.half_close
+        ~is_rejection:kit.rejection
+  | Oversized (size, marker) ->
+      Byzantine.oversized t (at.listener key) ~size ~is_rejection:(fun s -> contains s marker)
+  | Silent -> Byzantine.silent t (at.listener key)
+  | Stall ->
+      Byzantine.mid_header_stall t (at.listener key) ~clock:(at.clock_of key) ~step_ns:1_000
+        ~prefix:kit.stall_prefix ~is_rejection:kit.rejection ()
+
+(* Spawn the kit's melee — client [i] keyed ["conn-i"], then the real
+   clients — and return what a feature waits on: [resolved] (everyone
+   but the silent holders, which only a drain cuts), [settled] (everyone)
+   and the real clients' summary. *)
+let spawn_melee kit ~seed at t =
+  for i = 1 to kit.clients do
+    Fiber.spawn (fun () -> stimulate kit at t ~key:(Printf.sprintf "conn-%d" i) (kit.melee i))
+  done;
+  let ok = ref 0 and err = ref 0 in
+  let n_real =
+    match kit.real with
+    | None -> 0
+    | Some r ->
+        List.iteri
+          (fun j key ->
+            Fiber.spawn (fun () ->
+                let rng = Drbg.create ~seed:(seed + j + 1) in
+                match Chan.connect (at.listener key) with
+                | exception _ -> incr err
+                | ep -> (
+                    match r.fetch (at.env_of key) ~rng ep with
+                    | true -> incr ok
+                    | false | (exception _) -> incr err)))
+          r.keys;
+        List.length r.keys
+  in
+  let n_silent =
+    List.length (List.filter (fun i -> kit.melee i = Silent) (List.init kit.clients succ))
+  in
+  let resolved () = Byzantine.total t >= kit.clients - n_silent && !ok + !err >= n_real in
+  let settled () = Byzantine.total t = kit.clients in
+  let summary () =
+    match kit.real with
+    | None -> ""
+    | Some r -> Printf.sprintf " %s_ok=%d %s_err=%d" r.label !ok r.label !err
+  in
+  (resolved, settled, summary)
+
+let chan_faults plan prob =
+  Fault_plan.rule plan ~site:"chan.read" ~prob [ Fault_plan.Drop; Fault_plan.Reset ];
+  Fault_plan.rule plan ~site:"chan.write" ~prob [ Fault_plan.Reset ]
+
+(* ------------------------------------------------------------------ *)
+(* Plain: the server under flood, faults and garbage                   *)
+
+let run_plain (type e) (kit : e kit) ~policy ~diff ~faults ~seed =
+  let module S = (val kit.serve : Wedge_net.Server.SERVE with type env = e) in
+  let plan = Fault_plan.create ~seed () in
+  if faults then begin
+    chan_faults plan kit.chan_fault;
+    Option.iter
+      (fun prob -> Fault_plan.rule plan ~site:"physmem.alloc" ~prob [ Fault_plan.Enomem ])
+      kit.enomem_fault
+  end;
+  Fault_plan.disarm plan;
+  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
+  let clock = k.Kernel.clock in
+  let env = kit.boot ~seed k in
+  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
+  (* The guard gets the clock only to enforce a header deadline. *)
+  let guard =
+    Guard.create
+      ?clock:(Option.map (fun _ -> clock) kit.header_deadline_ns)
+      ?header_deadline_ns:kit.header_deadline_ns ~max_conns:kit.max_conns ()
+  in
+  let t = Byzantine.tally () and loris = Byzantine.tally () in
+  let at = { listener = (fun _ -> l); clock_of = (fun _ -> clock); env_of = (fun _ -> env) } in
+  let real = ref (fun () -> "") in
+  checked ~kernel:k ~app:(kit.app env) ~policy ~diff
+    (fun oracle ->
+      Oracle.add_guard oracle ~name:(kit.server ^ ".guard") guard;
+      Fiber.spawn (fun () -> S.serve_loop ?max_request_bytes:kit.max_request_bytes env guard l);
+      Fault_plan.arm plan;
+      let resolved, settled, summary = spawn_melee kit ~seed at t in
+      real := summary;
+      let n_loris =
+        match kit.loris with
+        | None -> 0
+        | Some request ->
+            Fiber.spawn (fun () ->
+                Byzantine.slow_loris loris l ~clock ~step_ns:1_000 ~request
+                  ~is_rejection:kit.rejection);
+            1
+      in
+      Fiber.wait_until ~what:(kit.server ^ " melee resolved") (fun () ->
+          resolved () && Byzantine.total loris = n_loris);
+      Fault_plan.disarm plan;
+      Guard.drain guard l;
+      Fiber.wait_until ~what:"silent holders cut" settled)
+    (fun () ->
+      Printf.sprintf "%s %s%s%s %s%s plan=%s" kit.server (tally_to_string t) (!real ())
+        (if kit.loris = None then "" else Printf.sprintf " loris_cut=%d" loris.Byzantine.cut)
+        (guard_to_string (Guard.stats guard))
+        (counters_summary kit k kit.counters)
+        (plan_digest plan))
+
+(* ------------------------------------------------------------------ *)
 (* Fault storms: self-healing under injected crashes AND induced hangs.
 
    On top of the channel/memory faults of the base scenarios, the storm
@@ -360,7 +373,7 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    (heal epilogue), and the oracle sweeps clean — no leaked frame or
    descriptor across any restart, cut, or quarantine. *)
 
-let storm_plan ?(pooled = false) ~seed ~faults ~cgates () =
+let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
   if faults then begin
     Fault_plan.rule plan ~site:"chan.read" ~prob:0.04 [ Fault_plan.Drop; Fault_plan.Reset ];
@@ -465,293 +478,102 @@ let storm_summary ~server ~k ~t ~heal ~guard ~w ~tree =
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
     (Stats.get k.Kernel.stats (server ^ ".shed"))
 
-let run_httpd_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:60) else None in
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:true () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:4 ()
-  in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let n_clients = 12 in
-  let clean_request = "GET /index.html HTTP/1.1\r\n\r\n" in
-  let pool = if pooled then Some (Wedge_httpd.Httpd_simple.worker_pool env) else None in
-  let tree =
-    Wedge_httpd.Httpd_simple.supervision_tree
-      ~worker_policy:(Supervisor.policy ~max_restarts:1 ())
-      ?pool env
-  in
-  let node, _, _ = tree in
-  let heal = ref 0 in
-  let probe_outcome = ref "-" in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 ~supervision:tree
-            env guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              (* A truncated ClientHello frame (header claims 256 bytes,
-                 body never arrives): the worker blocks mid-record, and
-                 only hang detection can reclaim the slot. *)
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"h\001\000partial-hello" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"httpd storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
+let storm_melee i = if i mod 4 = 0 then Stall else if i mod 5 = 0 then Half_close else Oneshot
+
+let heal_probe kit ~seed env l =
+  match kit.heal with
+  | Some probe -> probe env ~seed l
+  | None ->
       let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"httpd" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"httpd" app)
-    (fun () ->
-      storm_summary ~server:"httpd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
+      fun () -> Byzantine.oneshot probes l ~request:kit.request ~is_rejection:kit.rejection
 
-let run_pop3_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:60) else None in
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:true () in
+(* The storm, its pooled form, and its reactor form: the same melee and
+   self-healing assertions.  [pooled] stamps every worker from the
+   server's snapshot pool (stamp faults armed, frozen-frame sweep, spawn
+   advantage measured); [reactor] parks the serve path on the reactor
+   instead of spin-polling — deadlines on the timer wheel, the watchdog
+   pumped from the timer tick, accept bursts drained in one wake — and
+   adds the reactor's interest-set audit as an oracle invariant: no
+   waiter whose readiness already holds stays parked (lost wakeup), no
+   registration survives on a dead handle, no parked fiber lacks one. *)
+let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~seed =
+  let module S = (val kit.serve : Wedge_net.Server.SERVE with type env = e) in
+  let advantage = if pooled then Some (spawn_advantage ~image_pages:kit.image_pages) else None in
+  let plan = storm_plan ~pooled ~seed ~faults ~cgates:kit.cgate_faults in
   let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
   let clock = k.Kernel.clock in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let main_ctx = W.main_ctx app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
+  let env = kit.boot ~seed k in
+  let app = kit.app env in
+  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
+  let r = if reactor then Some (Reactor.create ~clock ()) else None in
   let w = Watchdog.create ~deadline_ns:6_000 clock in
   let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:4 ()
+    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
+      ?reactor:r ~max_conns:kit.max_conns ()
   in
   let t = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 12 in
-  let clean_request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" in
-  let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.worker_pool main_ctx) else None in
-  let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in
+  let at = { listener = (fun _ -> l); clock_of = (fun _ -> clock); env_of = (fun _ -> env) } in
+  let pool = if pooled then Some (S.pool env) else None in
+  let tree = S.supervision_tree ?pool env in
   let node, _, _ = tree in
   let heal = ref 0 in
   let probe_outcome = ref "-" in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"pop3.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_pop3.Pop3_wedge.serve_loop ~supervision:tree main_ctx guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled main_ctx;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix:"USER ali"
-                ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"pop3 storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"pop3" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"pop3" app)
-    (fun () ->
-      storm_summary ~server:"pop3" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-
-let run_sshd_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:40) else None in
-  (* No callgates on the privsep path: hangs come from fiber stalls. *)
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:false () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let app = env.Wedge_sshd.Sshd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:6 () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:3 ()
-  in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 9 in
-  let pool = if pooled then Some (Wedge_sshd.Sshd_privsep.slave_pool env) else None in
-  let tree = Wedge_sshd.Sshd_privsep.supervision_tree ?pool env in
-  let node, _, _ = tree in
-  let heal = ref 0 in
-  let probe_outcome = ref "-" in
-  (* The healing probe is a real SSH login: garbage cannot prove the
-     backend healthy, a key exchange + authentication can. *)
-  let probe_n = ref 0 in
-  let probe () =
-    incr probe_n;
-    match Chan.connect l with
-    | exception _ -> ()
-    | ep -> (
-        let rng = Drbg.create ~seed:(seed + 0x5AFE + !probe_n) in
-        match
-          Wedge_sshd.Ssh_client.login ~rng
-            ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
-            ~pinned_dsa:env.Wedge_sshd.Sshd_env.host_dsa.Wedge_crypto.Dsa.pub
-            ~user:"alice"
-            (Wedge_sshd.Ssh_client.Password "wonderland")
-            ep
-        with
-        | Ok conn -> Wedge_sshd.Ssh_client.close conn
-        | Error _ -> ( try Chan.close ep with _ -> ())
-        | exception _ -> ( try Chan.close ep with _ -> ()))
-  in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"sshd.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_sshd.Sshd_privsep.serve_loop ~supervision:tree env guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              (* A truncated wire frame: the header claims a 256-byte
-                 payload, so the slave blocks mid-message — only the
-                 watchdog can reclaim it.  (A bad leading byte like a raw
-                 "SSH-2.0-" banner fails fast instead of hanging.) *)
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"D\001\000SSH-2.0-cha" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n"
-                ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      heal := heal_breaker ~what:"sshd" guard clock probe;
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"sshd" app)
-    (fun () ->
-      storm_summary ~server:"sshd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-
-(* ------------------------------------------------------------------ *)
-(* HTTPD reactor storm: the httpd storm with the serve path parked on
-   the reactor instead of spin-polling — deadlines on the timer wheel,
-   the watchdog pumped from the timer tick, accept bursts drained in one
-   wake.  Same melee, same self-healing assertions, plus the reactor's
-   own interest-set audit as an oracle invariant: no waiter whose
-   readiness already holds stays parked (lost wakeup), no registration
-   survives on a dead handle (ghost after Chan.abort / a watchdog cut),
-   no parked fiber lacks a registration. *)
-
-let run_httpd_reactor_storm ~policy ~diff ~faults ~seed =
-  let plan = storm_plan ~seed ~faults ~cgates:true () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~reactor:r ~max_conns:4 ()
-  in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let n_clients = 12 in
-  let clean_request = "GET /index.html HTTP/1.1\r\n\r\n" in
-  let tree =
-    Wedge_httpd.Httpd_simple.supervision_tree
-      ~worker_policy:(Supervisor.policy ~max_restarts:1 ())
-      env
-  in
-  let node, _, _ = tree in
-  let heal = ref 0 in
   (* The reactor ticks before the watchdog hook: a timer-driven cut lands
      first, then the sweep, then the oracle's sampled check observes the
      settled state. *)
   let extra_hook =
-    let rhook = Reactor.hook r and whook = Watchdog.hook w in
-    fun () ->
-      rhook ();
-      whook ()
+    let whook = Watchdog.hook w in
+    match r with
+    | None -> whook
+    | Some r ->
+        let rhook = Reactor.hook r in
+        fun () ->
+          rhook ();
+          whook ()
   in
   checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook
-    ~on_idle:(Reactor.idle r) ~policy ~diff
+    ?on_idle:(Option.map Reactor.idle r) ~policy ~diff
     (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
+      Oracle.add_guard oracle ~name:(kit.server ^ ".guard") guard;
       storm_watchdog_invariant oracle w;
-      Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
-          Reactor.self_check r);
+      Option.iter
+        (fun r ->
+          Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
+              Reactor.self_check r))
+        r;
       Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 ~supervision:tree
-            env guard l);
+          S.serve_loop ?max_request_bytes:kit.max_request_bytes ~supervision:tree env guard l);
       Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"h\001\000partial-hello" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
+      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
+      for i = 1 to kit.storm_clients do
+        Fiber.spawn (fun () -> stimulate kit at t ~key:"" (storm_melee i))
       done;
-      Fiber.wait_until ~what:"httpd reactor storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
+      Fiber.wait_until ~what:(kit.server ^ " storm resolved") (fun () ->
+          Byzantine.total t = kit.storm_clients);
       Fault_plan.disarm plan;
-      let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"httpd" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
+      heal := heal_breaker ~what:kit.server guard clock (heal_probe kit ~seed env l);
       Guard.drain guard l;
-      match Reactor.self_check r with
-      | Some msg -> raise (Oracle.Violation ("httpd_reactor_storm: " ^ msg))
-      | None -> ())
+      assert_pool_used ~pooled ~server:kit.server app;
+      Option.iter
+        (fun r ->
+          match Reactor.self_check r with
+          | Some msg -> raise (Oracle.Violation (kit.server ^ "_reactor_storm: " ^ msg))
+          | None -> ())
+        r)
     (fun () ->
-      let rs = Reactor.stats r in
-      storm_summary ~server:"httpd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
-          rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
+      storm_summary ~server:kit.server ~k ~t ~heal:!heal ~guard ~w ~tree:node
+      ^ pool_summary ~pooled app
+      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
+      ^ (match advantage with
+        | None -> ""
+        | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
+      ^
+      match r with
+      | None -> ""
+      | Some r ->
+          let rs = Reactor.stats r in
+          Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
+            rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scenarios: N kernels behind a hashed front door, with the
@@ -857,203 +679,60 @@ let shard_stats_summary ~prefix fab front =
            (Stats.get s.Shard.kernel.Kernel.stats (prefix ^ ".rejected")))
        (Array.to_list (Shard.shards fab)))
 
-let run_httpd_sharded ~policy ~diff ~faults ~seed =
+let run_sharded (type e) (kit : e kit) ~policy ~diff ~faults ~seed =
+  let module S = (val kit.serve : Wedge_net.Server.SERVE with type env = e) in
   let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
+  if faults then chan_faults plan kit.chan_fault;
   Fault_plan.disarm plan;
   let envs =
     Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:(seed + i) k)
+        kit.boot ~seed:(seed + i)
+          (Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i ()))
   in
   let fab =
     Shard.create
       (Array.map
-         (fun e -> (W.kernel e.Wedge_httpd.Httpd_env.app, e.Wedge_httpd.Httpd_env.app))
+         (fun env ->
+           let app = kit.app env in
+           (W.kernel app, app))
          envs)
   in
-  let front = Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:8 ~max_conns:4 fab in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let served_bodies = ref 0 and client_errors = ref 0 in
-  let n_garbage = 8 and n_tls = 2 in
-  let revocation = ref "" in
-  checked_sharded ~fab ~policy ~diff
-    (fun oracles ->
-      Array.iteri
-        (fun i o ->
-          Oracle.add_guard o
-            ~name:(Printf.sprintf "httpd.guard.%d" i)
-            (Shard.front_guard front i))
-        oracles;
-      Wedge_httpd.Httpd_simple.serve_sharded ~max_request_bytes:4096 envs front;
-      Fault_plan.arm plan;
-      for i = 1 to n_garbage do
-        Fiber.spawn (fun () ->
-            (* Each client hashes to its home shard, like the front door
-               would route it. *)
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else if i mod 5 = 0 then Byzantine.silent t l
-            else
-              Byzantine.oneshot t l ~request:"GET /index.html HTTP/1.1\r\n\r\n"
-                ~is_rejection)
-      done;
-      let users = [| "alice"; "bob" |] in
-      for i = 1 to n_tls do
-        Fiber.spawn (fun () ->
-            let rng = Drbg.create ~seed:(seed + i) in
-            match Shard.front_connect front ~key:users.(i - 1) with
-            | exception _ -> incr client_errors
-            | sid, ep -> (
-                match
-                  Wedge_httpd.Https_client.get ~rng
-                    ~pinned:envs.(sid).Wedge_httpd.Httpd_env.priv.Rsa.pub
-                    ~path:"/index.html" ep
-                with
-                | { Wedge_httpd.Https_client.response = Some r; _ }
-                  when r.Wedge_httpd.Http.status = 200 ->
-                    incr served_bodies
-                | _ -> incr client_errors
-                | exception _ -> incr client_errors))
-      done;
-      (* As in [run_httpd]: the silent holder only resolves when drain
-         force-cuts it (>=: an injected fault can cut it early). *)
-      let n_silent = 1 in
-      Fiber.wait_until ~what:"httpd sharded melee resolved" (fun () ->
-          Byzantine.total t >= n_garbage - n_silent
-          && !served_bodies + !client_errors >= n_tls);
-      Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"httpd_sharded" fab;
-      Shard.front_drain front;
-      Fiber.wait_until ~what:"silent holders cut" (fun () ->
-          Byzantine.total t = n_garbage))
-    (fun () ->
-      Printf.sprintf "httpd_sharded %s tls_ok=%d tls_err=%d %s %s plan=%s"
-        (tally_to_string t) !served_bodies !client_errors
-        (shard_stats_summary ~prefix:"httpd" fab front)
-        !revocation (plan_digest plan))
-
-let run_pop3_sharded ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.03 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.03 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let worlds =
-    Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-        let app = W.create_app ~image_pages:60 k in
-        W.boot app;
-        (k, app))
-  in
-  let fab = Shard.create worlds in
-  let mains = Array.map (fun (_, app) -> W.main_ctx app) worlds in
   let front =
-    Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:8
-      ~header_deadline_ns:5_000 ~max_conns:4 fab
+    Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog
+      ?header_deadline_ns:kit.header_deadline_ns ~max_conns:kit.max_conns fab
+  in
+  (* Each client hashes to its home shard, as the front door routes it. *)
+  let at =
+    {
+      listener = (fun key -> Shard.front_listener front (Shard.route fab ~key));
+      clock_of = (fun key -> (Shard.shard fab (Shard.route fab ~key)).Shard.kernel.Kernel.clock);
+      env_of = (fun key -> envs.(Shard.route fab ~key));
+    }
   in
   let t = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 16 in
+  let name = kit.server ^ "_sharded" in
+  let real = ref (fun () -> "") in
   let revocation = ref "" in
   checked_sharded ~fab ~policy ~diff
     (fun oracles ->
       Array.iteri
         (fun i o ->
           Oracle.add_guard o
-            ~name:(Printf.sprintf "pop3.guard.%d" i)
+            ~name:(Printf.sprintf "%s.guard.%d" kit.server i)
             (Shard.front_guard front i))
         oracles;
-      Wedge_pop3.Pop3_wedge.serve_sharded mains front;
+      S.serve_sharded ?max_request_bytes:kit.max_request_bytes envs front;
       Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 4 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else if i mod 7 = 0 then
-              Byzantine.oversized t l ~size:2_000
-                ~is_rejection:(fun s -> contains s "too long")
-            else
-              Byzantine.oneshot t l
-                ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"pop3 sharded melee resolved" (fun () ->
-          Byzantine.total t = n_clients);
+      let resolved, settled, summary = spawn_melee kit ~seed at t in
+      real := summary;
+      Fiber.wait_until ~what:(name ^ " melee resolved") resolved;
       Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"pop3_sharded" fab;
-      Shard.front_drain front)
+      revocation := gtag_epilogue ~what:name fab;
+      Shard.front_drain front;
+      Fiber.wait_until ~what:"silent holders cut" settled)
     (fun () ->
-      Printf.sprintf "pop3_sharded %s %s %s plan=%s" (tally_to_string t)
-        (shard_stats_summary ~prefix:"pop3" fab front)
-        !revocation (plan_digest plan))
-
-let run_sshd_sharded ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let envs =
-    Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:(seed + i) k)
-  in
-  let fab =
-    Shard.create
-      (Array.map
-         (fun e -> (W.kernel e.Wedge_sshd.Sshd_env.app, e.Wedge_sshd.Sshd_env.app))
-         envs)
-  in
-  let front = Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:6 ~max_conns:3 fab in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 8 in
-  let revocation = ref "" in
-  checked_sharded ~fab ~policy ~diff
-    (fun oracles ->
-      Array.iteri
-        (fun i o ->
-          Oracle.add_guard o
-            ~name:(Printf.sprintf "sshd.guard.%d" i)
-            (Shard.front_guard front i))
-        oracles;
-      Wedge_sshd.Sshd_privsep.serve_sharded envs front;
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n"
-                ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd sharded melee resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"sshd_sharded" fab;
-      Shard.front_drain front)
-    (fun () ->
-      Printf.sprintf "sshd_sharded %s %s %s plan=%s" (tally_to_string t)
-        (shard_stats_summary ~prefix:"sshd" fab front)
+      Printf.sprintf "%s %s%s %s %s plan=%s" name (tally_to_string t) (!real ())
+        (shard_stats_summary ~prefix:kit.server fab front)
         !revocation (plan_digest plan))
 
 (* ------------------------------------------------------------------ *)
@@ -1081,329 +760,368 @@ let accept_next l =
       | None -> false);
   Option.get !got
 
-(* Two TLS fetches, the second resuming the first's session, so all three
-   callgate operations (new session, premaster, resume) are recorded. *)
-let httpd_synth_workload ~seed env synth served errors =
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-  let session = ref None in
-  let fetch i resume =
-    let rng = Drbg.create ~seed:(seed + i) in
-    match Chan.connect l with
-    | exception _ -> incr errors
-    | ep -> (
-        match
-          Wedge_httpd.Https_client.get ?resume ~rng
-            ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" ep
-        with
-        | { Wedge_httpd.Https_client.response = Some r; session = s; _ }
-          when r.Wedge_httpd.Http.status = 200 ->
-            session := s;
-            incr served
-        | _ -> incr errors
-        | exception _ -> incr errors)
-  in
-  Fiber.spawn (fun () -> fetch 1 None);
-  let d1 = Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l) in
-  (* Let client 1 finish before client 2 starts: the session it stored is
-     what makes fetch 2 exercise the resumption path on every schedule. *)
-  Fiber.wait_until (fun () -> !served + !errors >= 1);
-  Fiber.spawn (fun () -> fetch 2 !session);
-  let d2 = Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l) in
-  Fiber.wait_until (fun () -> !served + !errors >= 2);
-  Chan.shutdown l;
-  [ d1; d2 ]
+let profile_digest ptext = Digest.to_hex (Digest.string ptext)
 
-let pop3_synth_workload main synth t l =
-  let is_rejection s = contains s "-ERR busy" in
-  Fiber.spawn (fun () ->
-      Byzantine.oneshot t l
-        ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n"
-        ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
-  Fiber.wait_until (fun () -> Byzantine.total t >= 1);
-  Fiber.spawn (fun () ->
-      Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
-        ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
-  Fiber.wait_until (fun () -> Byzantine.total t >= 2);
-  Chan.shutdown l
-
-let sshd_synth_workload ~seed env synth ok l =
-  let finished = ref 0 in
-  Fiber.spawn (fun () ->
-      let note_done f =
-        Fun.protect ~finally:(fun () -> incr finished) f
-      in
-      note_done (fun () ->
-          let rng = Drbg.create ~seed:(seed + 11) in
-          match Chan.connect l with
-          | exception _ -> ()
-          | ep -> (
-              match
-                Wedge_sshd.Ssh_client.login ~rng
-                  ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
-                  ~pinned_dsa:env.Wedge_sshd.Sshd_env.host_dsa.Wedge_crypto.Dsa.pub
-                  ~user:"alice"
-                  (Wedge_sshd.Ssh_client.Password "wonderland") ep
-              with
-              | Ok conn ->
-                  incr ok;
-                  Wedge_sshd.Ssh_client.close conn
-              | Error _ -> ())));
-  ignore (Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l));
-  Fiber.wait_until (fun () -> !finished >= 1);
-  Chan.shutdown l
-
-(* One deterministic (round-robin) run of the named app's synthesis
-   workload with [synth] threaded through a fresh world; returns
-   (succeeded, summary).  Shared by the scenarios below and by
-   [wedge_cli synth]. *)
-let synth_apps = [ "httpd"; "pop3"; "sshd" ]
-
-let synth_oneshot ~app ~seed synth =
+(* One deterministic (round-robin) run of the kit's synthesis workload
+   with [synth] threaded through a fresh world; returns (succeeded,
+   summary). *)
+let synth_run kit ~seed synth =
   let k = Kernel.create ~costs:Cost_model.free () in
-  match app with
-  | "httpd" ->
-      let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-      let served = ref 0 and errors = ref 0 in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          ignore (httpd_synth_workload ~seed env synth served errors));
-      (!served = 2, Printf.sprintf "served=%d errors=%d" !served !errors)
-  | "pop3" ->
-      Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-      let app_ = W.create_app ~image_pages:60 k in
-      W.boot app_;
-      let t = Byzantine.tally () in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-          pop3_synth_workload (W.main_ctx app_) synth t l);
-      (t.Byzantine.completed = 2, tally_to_string t)
-  | "sshd" ->
-      let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-      let ok = ref 0 in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-          sshd_synth_workload ~seed env synth ok l);
-      (!ok = 1, Printf.sprintf "ok=%d" !ok)
-  | a -> invalid_arg ("synth_oneshot: unknown app " ^ a)
+  let run, result = kit.synth_workload ~seed (kit.boot ~seed k) synth in
+  Fiber.run ~policy:Fiber.Round_robin run;
+  result ()
 
 (* Record phase: deterministic schedule, fresh world, assert the clean
    workload actually succeeded (a profile synthesized from a broken run
    would be vacuously tight). *)
-let synth_record ~app ~seed =
-  let synth = Synth.create ~name:app Synth.Record in
-  let ok, summary = synth_oneshot ~app ~seed (Some synth) in
+let record kit ~seed =
+  let synth = Synth.create ~name:kit.server Synth.Record in
+  let ok, summary = synth_run kit ~seed (Some synth) in
   if not ok then
-    failwith (Printf.sprintf "%s_synth: record run failed (%s)" app summary);
+    failwith (Printf.sprintf "%s_synth: record run failed (%s)" kit.server summary);
   Synth.synthesize synth
 
-let synth_rerun ~app ~seed mode =
-  let synth = Synth.create ~name:app mode in
-  let ok, summary = synth_oneshot ~app ~seed (Some synth) in
-  (ok, summary, synth)
-
-let profile_digest ptext = Digest.to_hex (Digest.string ptext)
-
-let run_httpd_synth ~policy ~diff ~faults:_ ~seed =
-  let profile = synth_record ~app:"httpd" ~seed in
+let run_synth kit ~policy ~diff ~faults:_ ~seed =
+  let name = kit.server in
+  let profile = record kit ~seed in
   let ptext = Synth.Profile.print profile in
   (match Synth.Profile.parse ptext with
   | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "httpd_synth: synthesized profile does not round-trip");
+  | _ -> failwith (name ^ "_synth: synthesized profile does not round-trip"));
   let k = Kernel.create ~costs:Cost_model.free () in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let synth = Synth.create ~name:"httpd" (Synth.Enforce profile) in
-  let served = ref 0 and errors = ref 0 in
-  checked ~kernel:k ~app:env.Wedge_httpd.Httpd_env.app ~policy ~diff
+  let env = kit.boot ~seed k in
+  let synth = Synth.create ~name (Synth.Enforce profile) in
+  let run, result = kit.synth_workload ~seed env (Some synth) in
+  let denials () = Synth.denials synth in
+  checked ~kernel:k ~app:(kit.app env) ~policy ~diff
     (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.httpd.superset" (Synth.self_check synth);
-      let debugs = httpd_synth_workload ~seed env (Some synth) served errors in
-      if !served <> 2 then
-        raise
-          (Oracle.Violation
-             (Printf.sprintf
-                "httpd_synth: enforced run served %d/2 (denials: %s) (status: %s)"
-                !served
-                (String.concat "; " (List.map fst (Synth.denials synth)))
-                (String.concat "; "
-                   (List.map
-                      (fun d ->
-                        match d.Wedge_httpd.Httpd_simple.worker_status with
-                        | Wedge_kernel.Process.Running -> "running"
-                        | Wedge_kernel.Process.Exited n ->
-                            Printf.sprintf "exited %d" n
-                        | Wedge_kernel.Process.Faulted m -> "faulted: " ^ m)
-                      debugs)))))
+      Oracle.add_invariant oracle ~name:("synth." ^ name ^ ".superset") (Synth.self_check synth);
+      run ();
+      match result () with
+      | true, _ -> ()
+      | false, summary ->
+          raise
+            (Oracle.Violation
+               (Printf.sprintf "%s_synth: enforced run failed (%s; denials: %s)" name summary
+                  (String.concat "; " (List.map fst (denials ()))))))
     (fun () ->
-      Printf.sprintf "httpd_synth served=%d errors=%d denials=%d profile=%s" !served
-        !errors
-        (List.length (Synth.denials synth))
-        (profile_digest ptext))
-
-(* POP3's workload has no client RNG, so the seed only names the run. *)
-let run_pop3_synth ~policy ~diff ~faults:_ ~seed:_ =
-  let profile = synth_record ~app:"pop3" ~seed:0 in
-  let ptext = Synth.Profile.print profile in
-  (match Synth.Profile.parse ptext with
-  | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "pop3_synth: synthesized profile does not round-trip");
-  let k = Kernel.create ~costs:Cost_model.free () in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let synth = Synth.create ~name:"pop3" (Synth.Enforce profile) in
-  let t = Byzantine.tally () in
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.pop3.superset" (Synth.self_check synth);
-      pop3_synth_workload (W.main_ctx app) (Some synth) t l;
-      if t.Byzantine.completed <> 2 then
-        raise
-          (Oracle.Violation
-             (Printf.sprintf "pop3_synth: enforced run completed %d/2"
-                t.Byzantine.completed)))
-    (fun () ->
-      Printf.sprintf "pop3_synth %s denials=%d degraded=%d profile=%s"
-        (tally_to_string t)
-        (List.length (Synth.denials synth))
-        (Stats.get k.Kernel.stats "pop3.degraded")
-        (profile_digest ptext))
-
-let run_sshd_synth ~policy ~diff ~faults:_ ~seed =
-  let profile = synth_record ~app:"sshd" ~seed in
-  let ptext = Synth.Profile.print profile in
-  (match Synth.Profile.parse ptext with
-  | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "sshd_synth: synthesized profile does not round-trip");
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let synth = Synth.create ~name:"sshd" (Synth.Enforce profile) in
-  let ok = ref 0 in
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  checked ~kernel:k ~app:env.Wedge_sshd.Sshd_env.app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.sshd.superset" (Synth.self_check synth);
-      sshd_synth_workload ~seed env (Some synth) ok l;
-      if !ok <> 1 then raise (Oracle.Violation "sshd_synth: enforced login failed"))
-    (fun () ->
-      Printf.sprintf "sshd_synth ok=%d denials=%d profile=%s" !ok
-        (List.length (Synth.denials synth))
+      Printf.sprintf "%s_synth %s denials=%d%s profile=%s" name
+        (snd (result ()))
+        (List.length (denials ()))
+        (counters_summary kit k kit.synth_counters)
         (profile_digest ptext))
 
 (* ------------------------------------------------------------------ *)
+(* The three kits                                                      *)
 
-let all =
+let pop3_kit =
+  let rejection s = contains s "-ERR busy" in
+  let request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" in
+  {
+    server = "pop3";
+    doc = "partitioned POP3 under flood, faults and slow-loris";
+    serve = (module Wedge_pop3.Pop3_wedge);
+    boot =
+      (fun ~seed:_ k ->
+        Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
+        let app = W.create_app ~image_pages:60 k in
+        W.boot app;
+        W.main_ctx app);
+    app = W.app_of;
+    image_pages = 60;
+    max_request_bytes = None;
+    backlog = 8;
+    max_conns = 4;
+    header_deadline_ns = Some 5_000;
+    chan_fault = 0.03;
+    enomem_fault = Some 0.002;
+    cgate_faults = true;
+    request;
+    half_close = "USER alice\r\nQUIT\r\n";
+    stall_prefix = "USER ali";
+    rejection;
+    melee =
+      (fun i ->
+        if i mod 4 = 0 then Half_close
+        else if i mod 7 = 0 then Oversized (2_000, "too long")
+        else Oneshot);
+    clients = 16;
+    loris = Some "USER alice\r\nQUIT\r\n";
+    real = None;
+    storm_clients = 12;
+    heal = None;
+    counters = [ "degraded" ];
+    (* No client RNG: the seed only names the run. *)
+    synth_workload =
+      (fun ~seed:_ main synth ->
+        let t = Byzantine.tally () in
+        let run () =
+          let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
+          let session request =
+            Fiber.spawn (fun () -> Byzantine.oneshot t l ~request ~is_rejection:rejection);
+            ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l))
+          in
+          session "USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n";
+          Fiber.wait_until (fun () -> Byzantine.total t >= 1);
+          session request;
+          Fiber.wait_until (fun () -> Byzantine.total t >= 2);
+          Chan.shutdown l
+        in
+        (run, fun () -> (t.Byzantine.completed = 2, tally_to_string t)));
+    synth_counters = [ "degraded" ];
+  }
+
+let httpd_kit =
+  let module Env = Wedge_httpd.Httpd_env in
+  let module Client = Wedge_httpd.Https_client in
+  let get ?resume env ~rng ep =
+    Client.get ?resume ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" ep
+  in
+  let served (r : Client.result) =
+    match r.Client.response with
+    | Some resp -> resp.Wedge_httpd.Http.status = 200
+    | None -> false
+  in
+  {
+    server = "httpd";
+    doc = "TLS httpd under garbage handshakes, faults and real clients";
+    serve = (module Wedge_httpd.Httpd_simple);
+    boot = (fun ~seed k -> Env.install ~image_pages:60 ~seed k);
+    app = (fun env -> env.Env.app);
+    image_pages = 60;
+    max_request_bytes = Some 4096;
+    backlog = 8;
+    max_conns = 4;
+    header_deadline_ns = None;
+    chan_fault = 0.02;
+    enomem_fault = Some 0.001;
+    cgate_faults = true;
+    (* Plaintext HTTP at a TLS endpoint: handshake garbage the worker must
+       contain. *)
+    request = "GET /index.html HTTP/1.1\r\n\r\n";
+    half_close = "GET / HTTP/1.0\r\n\r\n";
+    (* A truncated ClientHello frame (header claims 256 bytes, body never
+       arrives): the worker blocks mid-record, and only hang detection
+       can reclaim the slot. *)
+    stall_prefix = "h\001\000partial-hello";
+    rejection = (fun s -> contains s "503");
+    melee =
+      (fun i -> if i mod 3 = 0 then Half_close else if i mod 5 = 0 then Silent else Oneshot);
+    clients = 8;
+    loris = None;
+    real =
+      Some
+        {
+          label = "tls";
+          keys = [ "alice"; "bob" ];
+          fetch = (fun env ~rng ep -> served (get env ~rng ep));
+        };
+    storm_clients = 12;
+    heal = None;
+    counters = [ "degraded"; "rejected" ];
+    (* Two TLS fetches, the second resuming the first's session, so all
+       three callgate operations (new session, premaster, resume) run. *)
+    synth_workload =
+      (fun ~seed env synth ->
+        let ok = ref 0 and errors = ref 0 in
+        let run () =
+          let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
+          let session = ref None in
+          let fetch i resume =
+            let rng = Drbg.create ~seed:(seed + i) in
+            match Chan.connect l with
+            | exception _ -> incr errors
+            | ep -> (
+                match get ?resume env ~rng ep with
+                | r when served r ->
+                    session := r.Client.session;
+                    incr ok
+                | _ | (exception _) -> incr errors)
+          in
+          Fiber.spawn (fun () -> fetch 1 None);
+          ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+          (* Let client 1 finish before client 2 starts: the session it
+             stored is what makes fetch 2 exercise the resumption path on
+             every schedule. *)
+          Fiber.wait_until (fun () -> !ok + !errors >= 1);
+          Fiber.spawn (fun () -> fetch 2 !session);
+          ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+          Fiber.wait_until (fun () -> !ok + !errors >= 2);
+          Chan.shutdown l
+        in
+        (run, fun () -> (!ok = 2, Printf.sprintf "served=%d errors=%d" !ok !errors)));
+    synth_counters = [];
+  }
+
+let sshd_kit =
+  let module Env = Wedge_sshd.Sshd_env in
+  let module Client = Wedge_sshd.Ssh_client in
+  let login env ~rng ep =
+    Client.login ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
+      ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub ~user:"alice"
+      (Client.Password "wonderland") ep
+  in
+  {
+    server = "sshd";
+    doc = "fork-per-connection sshd privsep under protocol garbage";
+    serve = (module Wedge_sshd.Sshd_privsep);
+    boot = (fun ~seed k -> Env.install ~image_pages:40 ~seed k);
+    app = (fun env -> env.Env.app);
+    image_pages = 40;
+    max_request_bytes = None;
+    backlog = 6;
+    max_conns = 3;
+    header_deadline_ns = None;
+    chan_fault = 0.02;
+    enomem_fault = None;
+    (* No callgates on the privsep path: hangs come from fiber stalls. *)
+    cgate_faults = false;
+    request = "SSH-2.0-chaos\r\nnot-a-kexinit\r\n";
+    half_close = "SSH-2.0-chaos\r\n\r\n";
+    (* A truncated wire frame: the header claims a 256-byte payload, so
+       the slave blocks mid-message — only the watchdog can reclaim it.
+       (A bad leading byte like a raw "SSH-2.0-" banner fails fast
+       instead of hanging.) *)
+    stall_prefix = "D\001\000SSH-2.0-cha";
+    rejection = (fun _ -> false);
+    melee = (fun i -> if i mod 3 = 0 then Half_close else Oneshot);
+    clients = 8;
+    loris = None;
+    real = None;
+    storm_clients = 9;
+    (* The healing probe is a real SSH login: garbage cannot prove the
+       backend healthy, a key exchange + authentication can. *)
+    heal =
+      Some
+        (fun env ~seed l ->
+          let probe_n = ref 0 in
+          fun () ->
+            incr probe_n;
+            match Chan.connect l with
+            | exception _ -> ()
+            | ep -> (
+                let rng = Drbg.create ~seed:(seed + 0x5AFE + !probe_n) in
+                match login env ~rng ep with
+                | Ok conn -> Client.close conn
+                | Error _ | (exception _) -> ( try Chan.close ep with _ -> ())));
+    counters = [ "degraded"; "rejected" ];
+    (* One password login against the Wedge-partitioned sshd. *)
+    synth_workload =
+      (fun ~seed env synth ->
+        let ok = ref 0 in
+        let run () =
+          let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
+          let finished = ref 0 in
+          Fiber.spawn (fun () ->
+              Fun.protect
+                ~finally:(fun () -> incr finished)
+                (fun () ->
+                  let rng = Drbg.create ~seed:(seed + 11) in
+                  match Chan.connect l with
+                  | exception _ -> ()
+                  | ep -> (
+                      match login env ~rng ep with
+                      | Ok conn ->
+                          incr ok;
+                          Client.close conn
+                      | Error _ -> ())));
+          ignore (Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l));
+          Fiber.wait_until (fun () -> !finished >= 1);
+          Chan.shutdown l
+        in
+        (run, fun () -> (!ok = 1, Printf.sprintf "ok=%d" !ok)));
+    synth_counters = [];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The matrix                                                          *)
+
+type any_kit = Kit : 'env kit -> any_kit
+
+let kits = [ Kit pop3_kit; Kit httpd_kit; Kit sshd_kit ]
+
+type feature = {
+  suffix : string;
+  about : 'env. 'env kit -> string;
+  run : 'env. 'env kit -> policy:Fiber.policy -> diff:bool -> faults:bool -> seed:int -> string;
+}
+
+let features =
   [
+    { suffix = ""; about = (fun kit -> kit.doc); run = run_plain };
     {
-      s_name = "pop3";
-      s_doc = "partitioned POP3 under flood, faults and slow-loris";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_pop3 ~policy ~diff ~faults ~seed);
+      suffix = "_storm";
+      about =
+        (fun kit ->
+          kit.server ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree");
+      run = (fun kit -> run_storm ~pooled:false ~reactor:false kit);
     };
     {
-      s_name = "httpd";
-      s_doc = "TLS httpd under garbage handshakes, faults and real clients";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_httpd ~policy ~diff ~faults ~seed);
+      suffix = "_reactor_storm";
+      about =
+        (fun kit ->
+          kit.server ^ " storm on the event reactor: parked fibers, timer deadlines, wake audit");
+      run = (fun kit -> run_storm ~pooled:false ~reactor:true kit);
     };
     {
-      s_name = "sshd";
-      s_doc = "fork-per-connection sshd privsep under protocol garbage";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_sshd ~policy ~diff ~faults ~seed);
+      suffix = "_pool_storm";
+      about =
+        (fun kit ->
+          kit.server ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep");
+      run = (fun kit -> run_storm ~pooled:true ~reactor:false kit);
     };
     {
-      s_name = "httpd_storm";
-      s_doc = "httpd self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_storm ~policy ~diff ~faults ~seed ());
+      suffix = "_sharded";
+      about =
+        (fun kit ->
+          Printf.sprintf "%d-shard %s behind the hashed front door, cross-shard gtag revocation"
+            sharded_shards kit.server);
+      run = run_sharded;
     };
     {
-      s_name = "pop3_storm";
-      s_doc = "pop3 self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_storm ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "sshd_storm";
-      s_doc = "sshd self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_storm ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "httpd_reactor_storm";
-      s_doc = "httpd storm on the event reactor: parked fibers, timer deadlines, wake audit";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_reactor_storm ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd_pool_storm";
-      s_doc = "httpd storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "pop3_pool_storm";
-      s_doc = "pop3 storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "sshd_pool_storm";
-      s_doc = "sshd storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "httpd_sharded";
-      s_doc = "2-shard httpd behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "pop3_sharded";
-      s_doc = "2-shard pop3 behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "sshd_sharded";
-      s_doc = "2-shard sshd behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd_synth";
-      s_doc = "record → synthesize → enforce a least-privilege httpd profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_httpd_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "pop3_synth";
-      s_doc = "record → synthesize → enforce a least-privilege pop3 profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_pop3_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "sshd_synth";
-      s_doc = "record → synthesize → enforce a least-privilege sshd profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_sshd_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "racy";
-      s_doc = "deliberate lost-update race (the explorer must catch it)";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_racy ~policy ~diff ~faults ~seed);
+      suffix = "_synth";
+      about =
+        (fun kit ->
+          Printf.sprintf "record → synthesize → enforce a least-privilege %s profile"
+            kit.server);
+      run = run_synth;
     };
   ]
 
+let all =
+  List.concat_map
+    (fun f ->
+      List.map
+        (fun (Kit kit) ->
+          { s_name = kit.server ^ f.suffix; s_doc = f.about kit; s_run = f.run kit })
+        kits)
+    features
+  @ [
+      {
+        s_name = "racy";
+        s_doc = "deliberate lost-update race (the explorer must catch it)";
+        s_run = run_racy;
+      };
+    ]
+
 let find name = List.find_opt (fun s -> s.s_name = name) all
 let names () = List.map (fun s -> s.s_name) all
+
+(* The synthesis pipeline by app name, for [wedge_cli synth] and the
+   tests. *)
+let synth_apps = List.map (fun (Kit kit) -> kit.server) kits
+
+let kit_named app =
+  match List.find_opt (fun (Kit kit) -> kit.server = app) kits with
+  | Some k -> k
+  | None -> invalid_arg ("Scenarios: unknown app " ^ app)
+
+let synth_record ~app ~seed =
+  let (Kit kit) = kit_named app in
+  record kit ~seed
+
+let synth_rerun ~app ~seed mode =
+  let (Kit kit) = kit_named app in
+  let synth = Synth.create ~name:app mode in
+  let ok, summary = synth_run kit ~seed (Some synth) in
+  (ok, summary, synth)

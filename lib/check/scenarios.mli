@@ -11,7 +11,13 @@
     ({!Oracle.Violation}, {!Refvm.Mismatch}, a scenario's end-state
     assertion) which {!Explore} catches and shrinks.
 
-    The ["httpd_storm"/"pop3_storm"/"sshd_storm"] scenarios drive the
+    The registry is a server × feature matrix: servers ["pop3"],
+    ["httpd"], ["sshd"] (each described once by a scenario kit) times
+    features plain melee (the bare server name), ["_storm"],
+    ["_reactor_storm"], ["_pool_storm"], ["_sharded"] and ["_synth"],
+    plus the ["racy"] control.
+
+    The ["*_storm"] scenarios drive the
     self-healing machinery: on top of channel/memory faults they induce
     {e hangs} (["fiber.stall"] and ["cgate.call"] fault sites) against a
     server running its declared supervision tree behind a guard armed
@@ -47,7 +53,7 @@ val names : unit -> string list
     [wedge_cli synth] and the tests. *)
 
 val synth_apps : string list
-(** Apps with a synthesis workload: [["httpd"; "pop3"; "sshd"]]. *)
+(** Apps with a synthesis workload: [["pop3"; "httpd"; "sshd"]]. *)
 
 val synth_record : app:string -> seed:int -> Wedge_crowbar.Synth.Profile.t
 (** Run [app]'s seeded workload in record mode under the deterministic

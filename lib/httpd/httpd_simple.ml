@@ -3,6 +3,7 @@ module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
+module Server = Wedge_net.Server
 module Tag = Wedge_mem.Tag
 module Drbg = Wedge_crypto.Drbg
 module Wire = Wedge_tls.Wire
@@ -161,15 +162,11 @@ let worker_ops ctx ~gate ~arg_tag ~arg_block ~master_ref ~keys_ref ~finished_ref
 
 (* The degraded answer when the worker is gone: the TLS keys died with it,
    so the monitor sends a plaintext 500 and closes — the client sees a
-   definite failure instead of a hang.  Best-effort: the channel itself
-   may already be reset. *)
-let send_degraded main ep =
-  W.stat main "httpd.degraded";
-  try Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()
+   definite failure instead of a hang. *)
+let farewell = Some (Http.format_response Http.internal_error)
 
-let serve_connection ?(recycled = false) ?(restart_policy = Supervisor.default_policy)
-    ?supervised ?exploit_handshake ?exploit_request ?guard ?max_request_bytes
-    ?worker_limits ?synth (env : Httpd_env.t) ep =
+let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit_request
+    ?guard ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   (* Per-connection setup runs in the monitor, so a fault here (injected
      frame exhaustion during tag_new, a reset connection) must be contained
@@ -239,7 +236,7 @@ let serve_connection ?(recycled = false) ?(restart_policy = Supervisor.default_p
   with
   | exception e when W.fault_reason e <> None ->
       let reason = Option.get (W.fault_reason e) in
-      send_degraded main ep;
+      Server.degrade ~name:"httpd" ~farewell main ep;
       cleanup ();
       {
         conn_tag = None;
@@ -293,26 +290,9 @@ let serve_connection ?(recycled = false) ?(restart_policy = Supervisor.default_p
       let worker_main =
         Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:[ ("conn", fd) ] worker_body
       in
-      let outcome =
-        (* A supervised worker runs under the tree's per-child policy and
-           intensity budget; unsupervised falls back to the flat layer.
-           Each retry re-arms the guard heart, so a restamped worker is
-           not killed for its predecessor's hang. *)
-        let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        match supervised with
-        | Some child ->
-            Supervisor.run_child_sthread ?on_restart child worker_sc worker_main 0
-        | None ->
-            Supervisor.supervise_sthread ~policy:restart_policy main worker_sc
-              worker_main 0
-      in
       let worker_status, degraded, attempts =
-        match outcome with
-        | Supervisor.Done { value; attempts } ->
-            (Wedge_kernel.Process.Exited value, false, attempts)
-        | Supervisor.Gave_up { attempts; last_fault } ->
-            send_degraded main ep;
-            (Wedge_kernel.Process.Faulted last_fault, true, attempts)
+        Server.run_worker ~name:"httpd" ~farewell ~guard ~supervised
+          ~policy:Supervisor.default_policy main ep (Server.Sthread (worker_sc, worker_main))
       in
       cleanup ();
       {
@@ -324,90 +304,26 @@ let serve_connection ?(recycled = false) ?(restart_policy = Supervisor.default_p
         attempts;
       }
 
-(* Freeze the worker's boot once (identity dropped to uid 33 inside the
-   docroot chroot, heap warmed so demand-mapped pages join the image);
-   per-connection grants — the two tags, the connection descriptor, the
-   callgate — ride in at stamp time as the worker sc. *)
-let worker_pool ?(name = "httpd.worker") (env : Httpd_env.t) =
-  let sc = W.sc_create () in
-  W.sc_set_uid sc 33;
-  W.sc_set_root sc Httpd_env.docroot;
-  (match env.Httpd_env.worker_sid with Some sid -> W.sc_sel_context sc sid | None -> ());
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    env.Httpd_env.main sc
+include Server.Make (struct
+  type env = Httpd_env.t
 
-(* The declared worker/listener topology: one node, the listener child
-   registered first (so a [Rest_for_one] escalation of the listener also
-   restarts the workers, never the reverse).  With [pool], every worker
-   attempt — first run and every restart — is an O(1) stamp from the
-   frozen image instead of a fork-priced boot. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?worker_policy ?pool (env : Httpd_env.t) =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"httpd" env.Httpd_env.main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let restart =
-    match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
-  in
-  let worker =
-    Supervisor.child
-      ?policy:worker_policy
-      ~restart node ~name:"worker"
-  in
-  (node, listener, worker)
+  let name = "httpd"
+  let worker = "worker"
+  let worker_policy = Supervisor.policy ~max_restarts:1 ()
+  let main (env : Httpd_env.t) = env.Httpd_env.main
 
-(* Guarded accept loop: admission control in front of per-connection
-   compartments.  Over-capacity (or breaker-shed) connections get a
-   plaintext 503 (the TLS session never started, so plaintext is all
-   there is) and are closed; admitted ones are served in their own fiber
-   with the slot auto-released and their outcome reported to the guard's
-   breaker.  With [supervision], workers run under the tree's "worker"
-   child and the accept loop itself under "listener" — a contained fault
-   leaking out of the serve path restarts the loop instead of killing the
-   server.  Returns when the listener shuts down (see [Guard.drain]). *)
-let serve_loop ?restart_policy ?max_request_bytes ?worker_limits ?supervision ?synth
-    (env : Httpd_env.t) guard listener =
-  let main = env.Httpd_env.main in
-  let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
-  let reject decision ep =
-    (match decision with
-    | Guard.Shed -> W.stat main "httpd.shed"
-    | _ -> W.stat main "httpd.rejected");
-    Chan.write_string ep (Http.format_response Http.service_unavailable)
-  in
-  let serve c =
-    let r =
-      serve_connection ?restart_policy ?supervised ~guard:c ?max_request_bytes
-        ?worker_limits ?synth env (Guard.ep c)
-    in
-    Guard.report c ~ok:(not r.degraded)
-  in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
-    0
-  in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
+  (* The worker's boot identity: uid 33 inside the docroot chroot, under
+     the env's worker SELinux context when set. *)
+  let identity (env : Httpd_env.t) =
+    let sc = W.sc_create () in
+    W.sc_set_uid sc 33;
+    W.sc_set_root sc Httpd_env.docroot;
+    (match env.Httpd_env.worker_sid with Some sid -> W.sc_sel_context sc sid | None -> ());
+    sc
 
-(* One accept loop per shard, each on its shard's guard and listener.
-   Workers, supervision and stats stay per-shard: shard [i]'s environment
-   only ever touches shard [i]'s kernel. *)
-let serve_sharded ?restart_policy ?max_request_bytes ?worker_limits envs front =
-  Array.iteri
-    (fun i env ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?restart_policy ?max_request_bytes ?worker_limits env
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    envs
+  (* The TLS session never started, so a plaintext 503 is all there is. *)
+  let reject = Some (Http.format_response Http.service_unavailable)
+
+  let serve_connection ~supervised ~max_request_bytes ~guard env ep =
+    not (serve_connection ?supervised ~guard ?max_request_bytes env ep).degraded
+end)

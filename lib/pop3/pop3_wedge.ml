@@ -5,6 +5,7 @@ module Vfs = Wedge_kernel.Vfs
 module Kernel = Wedge_kernel.Kernel
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
+module Server = Wedge_net.Server
 module Lineio = Wedge_net.Lineio
 module Tag = Wedge_mem.Tag
 
@@ -174,14 +175,10 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
 
 (* ---------- master: assemble one connection's compartments ---------- *)
 
-(* Degraded goodbye when the handler compartment is gone: best-effort,
-   the channel itself may already be reset. *)
-let send_degraded main ep =
-  W.stat main "pop3.degraded";
-  try Chan.write_string ep "-ERR internal server error, closing\r\n" with _ -> ()
+let farewell = Some "-ERR internal server error, closing\r\n"
 
 let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts:1 ())
-    ?supervised ?guard ?max_line ?worker_limits ?synth main ep =
+    ?supervised ?guard ?max_line ?synth main ep =
   (* Guard the master's own per-connection setup: an injected fault during
      tag creation must degrade this connection, not kill the accept loop. *)
   let created = ref [] in
@@ -260,12 +257,11 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts
         ~entry:(Synth.wrap_gate synth ~name:"pop3.mailbox" (mbox_entry ~mail_block))
         ~cgsc:mbox_cgsc ~trusted:uid_block
     in
-    (match worker_limits with Some l -> W.sc_set_rlimit worker_sc l | None -> ());
     (uid_tag, arg_tag, mail_tag, arg_block, mail_block, fd, worker_sc, login_gate, mbox_gate)
   with
   | exception e when W.fault_reason e <> None ->
       let reason = Option.get (W.fault_reason e) in
-      send_degraded main ep;
+      Server.degrade ~name:"pop3" ~farewell main ep;
       cleanup ();
       {
         uid_tag = None;
@@ -307,24 +303,9 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts
       let worker_main =
         Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:[ ("conn", fd) ] worker_body
       in
-      let outcome =
-        (* A restamped worker must not inherit the hung heart a watchdog
-           cut left behind: each retry re-arms a fresh one. *)
-        let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        match supervised with
-        | Some child ->
-            Supervisor.run_child_sthread ?on_restart child worker_sc worker_main 0
-        | None ->
-            Supervisor.supervise_sthread ~policy:restart_policy main worker_sc
-              worker_main 0
-      in
       let worker_status, degraded, attempts =
-        match outcome with
-        | Supervisor.Done { value; attempts } ->
-            (Wedge_kernel.Process.Exited value, false, attempts)
-        | Supervisor.Gave_up { attempts; last_fault } ->
-            send_degraded main ep;
-            (Wedge_kernel.Process.Faulted last_fault, true, attempts)
+        Server.run_worker ~name:"pop3" ~farewell ~guard ~supervised ~policy:restart_policy
+          main ep (Server.Sthread (worker_sc, worker_main))
       in
       cleanup ();
       {
@@ -336,83 +317,25 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts
         attempts;
       }
 
-(* Freeze the handler's boot once: identity dropped, pristine image
-   mapped, heap warmed (one allocation round-trip so the demand-mapped
-   heap pages — smalloc bookkeeping included — join the frozen image).
-   Per-connection grants (tags, the connection fd, the two gates) ride in
-   at stamp time as the worker sc. *)
-let worker_pool ?(name = "pop3.worker") main =
-  let sc = W.sc_create () in
-  W.sc_set_uid sc 99;
-  W.sc_set_root sc "/var/empty";
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    main sc
+include Server.Make (struct
+  type env = W.ctx
 
-(* The declared topology: listener first, then the per-connection
-   handler workers (rest-for-one restarts workers when the listener
-   escalates, never the reverse).  With [pool], every worker attempt —
-   first run and every restart — is stamped from the frozen image at the
-   flat O(1) cost instead of a fork-priced boot. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?worker_policy ?pool main =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"pop3" main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let restart =
-    match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
-  in
-  let worker =
-    Supervisor.child
-      ~policy:(Option.value worker_policy ~default:(Supervisor.policy ~max_restarts:1 ()))
-      ~restart node ~name:"worker"
-  in
-  (node, listener, worker)
+  let name = "pop3"
+  let worker = "worker"
 
-(* Guarded accept loop: the admission front door for the partitioned
-   POP3 server.  Over-capacity, draining, or breaker-shed connections get
-   "-ERR busy" and close; admitted ones are served in their own fiber and
-   their outcome reported to the guard's breaker. *)
-let serve_loop ?exploit ?restart_policy ?max_line ?worker_limits ?supervision main guard
-    listener =
-  let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
-  let reject decision ep =
-    (match decision with
-    | Guard.Shed -> W.stat main "pop3.shed"
-    | _ -> W.stat main "pop3.rejected");
-    Chan.write_string ep "-ERR busy, try again later\r\n"
-  in
-  let serve c =
-    let r =
-      serve_connection ?exploit ?restart_policy ?supervised ~guard:c ?max_line
-        ?worker_limits main (Guard.ep c)
-    in
-    Guard.report c ~ok:(not r.degraded)
-  in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
-    0
-  in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
+  (* POP3 is line-oriented: a fresh handler can greet the client again. *)
+  let worker_policy = Supervisor.policy ~max_restarts:1 ()
+  let main ctx = ctx
 
-(* One accept loop per shard, each on its shard's guard and listener;
-   [mains.(i)] is shard [i]'s trusted context. *)
-let serve_sharded ?exploit ?restart_policy ?max_line ?worker_limits mains front =
-  Array.iteri
-    (fun i main ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?exploit ?restart_policy ?max_line ?worker_limits main
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    mains
+  (* The handler's boot identity: uid 99 in an empty chroot. *)
+  let identity _ =
+    let sc = W.sc_create () in
+    W.sc_set_uid sc 99;
+    W.sc_set_root sc "/var/empty";
+    sc
+
+  let reject = Some "-ERR busy, try again later\r\n"
+
+  let serve_connection ~supervised ~max_request_bytes ~guard main ep =
+    not (serve_connection ?supervised ~guard ?max_line:max_request_bytes main ep).degraded
+end)

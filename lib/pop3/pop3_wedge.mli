@@ -33,7 +33,6 @@ val serve_connection :
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   ?max_line:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
   ?synth:Wedge_crowbar.Synth.t ->
   Wedge_core.Wedge.ctx ->
   Wedge_net.Chan.ep ->
@@ -52,71 +51,16 @@ val serve_connection :
     Resource governance: [guard] makes the handler read through the
     deadline-aware endpoint and marks the session established on a
     successful login; [max_line] caps command-line length (overlong
-    commands answer [-ERR command line too long] and close);
-    [worker_limits] arms per-sthread resource quotas on the handler.
+    commands answer [-ERR command line too long] and close).
 
     Profile synthesis: [synth] threads a {!Wedge_crowbar.Synth} session
     through the connection — compartments ["pop3.worker"] (fd role
     ["conn"]), ["pop3.login"] and ["pop3.mailbox"]; in enforce mode the
     profile's entries replace the hand-written security contexts. *)
 
-val worker_pool : ?name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Pool.t
-(** Freeze the handler's boot into a snapshot pool (identity dropped to
-    uid 99 / empty chroot, heap warmed so the demand-mapped pages join
-    the image).  Pass to {!supervision_tree} as [pool] for O(1) worker
-    spawn and crash recovery; per-connection grants still ride in at
-    stamp time. *)
-
-val supervision_tree :
-  ?strategy:Wedge_core.Supervisor.strategy ->
-  ?intensity:int ->
-  ?window_ns:int ->
-  ?healthy_after_ns:int ->
-  ?quarantine_ns:int ->
-  ?listener_policy:Wedge_core.Supervisor.policy ->
-  ?worker_policy:Wedge_core.Supervisor.policy ->
-  ?pool:Wedge_core.Pool.t ->
-  Wedge_core.Wedge.ctx ->
-  Wedge_core.Supervisor.node
-  * Wedge_core.Supervisor.child
-  * Wedge_core.Supervisor.child
-(** The declared POP3 topology: node ["pop3"] with children ["listener"]
-    (registered first, default two accept-loop retries) and ["worker"]
-    (default one retry, matching {!serve_connection}).  Pass the triple
-    to {!serve_loop} as [supervision].  With [pool] (see {!worker_pool})
-    every worker attempt is stamped from the frozen image instead of
-    fork-priced boot. *)
-
-val serve_loop :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_line:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
-  ?supervision:
-    Wedge_core.Supervisor.node
-    * Wedge_core.Supervisor.child
-    * Wedge_core.Supervisor.child ->
-  Wedge_core.Wedge.ctx ->
-  Wedge_net.Guard.t ->
-  Wedge_net.Chan.listener ->
-  unit
-(** Guarded accept loop: over-capacity or draining connections get
-    ["-ERR busy, try again later"] and close (counter [pop3.rejected];
-    breaker-shed ones count [pop3.shed]); admitted ones run
-    {!serve_connection} in their own fiber, their outcome reported to the
-    guard's breaker.  With [supervision] (see {!supervision_tree})
-    workers run under "worker" and the accept loop under "listener".
-    Returns once the listener shuts down — compose with
-    {!Wedge_net.Guard.drain}. *)
-
-val serve_sharded :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_line:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
-  Wedge_core.Wedge.ctx array ->
-  Wedge_net.Shard.front ->
-  unit
-(** Spawn one {!serve_loop} fiber per shard: shard [i] serves with its
-    own trusted context [mains.(i)] behind the front door's shard-[i]
-    guard and listener. *)
+include Wedge_net.Server.SERVE with type env = Wedge_core.Wedge.ctx
+(** The serve paths of the POP3 instance of {!Wedge_net.Server.S}: stats
+    and tree node ["pop3"], child ["worker"] (one retry, like
+    {!serve_connection}), pooled identity uid 99 in an empty chroot,
+    rejections answered ["-ERR busy, try again later"];
+    [max_request_bytes] caps the command line. *)

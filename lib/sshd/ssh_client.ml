@@ -96,7 +96,7 @@ let exec conn cmd =
   | Ok (P.Data d) -> Some (Bytes.to_string d)
   | _ -> None
 
-let scp_upload conn ~path ~data =
+let scp conn ~path ~data =
   match exec conn (Printf.sprintf "scp %s %d" path (String.length data)) with
   | Some "ready" -> (
       let chunk = 32768 in
@@ -109,8 +109,10 @@ let scp_upload conn ~path ~data =
         end
       in
       push 0;
-      match rpc conn P.Eof with Ok (P.Data d) -> Bytes.to_string d = "saved" | _ -> false)
-  | _ -> false
+      match rpc conn P.Eof with Ok (P.Data d) -> Some (Bytes.to_string d) | _ -> None)
+  | reply -> reply
+
+let scp_upload conn ~path ~data = scp conn ~path ~data = Some "saved"
 
 let close conn =
   (try P.send_sealed conn.io conn.keys P.Disconnect with _ -> ());

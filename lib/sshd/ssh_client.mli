@@ -27,7 +27,13 @@ val skey_answer : conn -> response:string -> bool
 val exec : conn -> string -> string option
 (** Run a command, return the first Data reply. *)
 
+val scp : conn -> path:string -> data:string -> string option
+(** Upload [data] to [path]; the server's answer (["saved"], ["upload too
+    large"], ...), or [None] when the session broke. *)
+
 val scp_upload : conn -> path:string -> data:string -> bool
+(** {!scp} answered ["saved"]. *)
+
 val close : conn -> unit
 
 val login :

@@ -50,6 +50,7 @@ type t = {
   config_addr : int;
   rng : Drbg.t;
   users : user list;
+  max_upload_bytes : int;
 }
 
 (* OpenSSH 3.1 is far smaller than Apache+OpenSSL-with-modules. *)
@@ -72,8 +73,10 @@ let config_text =
   "Protocol wssh-1.0\nPermitRootLogin no\nPasswordAuthentication yes\n\
    PubkeyAuthentication yes\nSkeyAuthentication yes\nPermitEmptyPasswords no\n"
 
+let default_max_upload_bytes = 1 lsl 20
+
 let install ?(image_pages = sshd_image_pages) ?(users = default_users) ?(seed = 0x55DD)
-    kernel =
+    ?(max_upload_bytes = default_max_upload_bytes) kernel =
   let vfs = kernel.Kernel.vfs in
   Vfs.mkdir_p vfs "/var/empty";
   Vfs.mkdir_p vfs ~mode:0o777 "/tmp";
@@ -144,6 +147,7 @@ let install ?(image_pages = sshd_image_pages) ?(users = default_users) ?(seed = 
     config_addr;
     rng;
     users;
+    max_upload_bytes;
   }
 
 let read_host_rsa ctx t =

@@ -27,12 +27,22 @@ type t = {
   config_addr : int;
   rng : Wedge_crypto.Drbg.t;
   users : user list;
+  max_upload_bytes : int;
+      (** scp staging cap: a larger upload answers ["upload too large"]
+          and disconnects (see {!Sshd_session.run}) *)
 }
 
 val install :
-  ?image_pages:int -> ?users:user list -> ?seed:int -> Wedge_kernel.Kernel.t -> t
+  ?image_pages:int ->
+  ?users:user list ->
+  ?seed:int ->
+  ?max_upload_bytes:int ->
+  Wedge_kernel.Kernel.t ->
+  t
 (** Build the VFS world (shadow, authorized_keys, S/Key db, upload dir,
-    empty chroot), boot the app, place host keys in tagged memory. *)
+    empty chroot), boot the app, place host keys in tagged memory.
+    [max_upload_bytes] (default 1 MiB) is the scp cap every server
+    layout enforces. *)
 
 val sshd_image_pages : int
 (** OpenSSH's address-space size (much smaller than Apache's). *)

@@ -98,7 +98,7 @@ let serve_connection ?exploit (env : Sshd_env.t) ep =
   let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
   let io = io_of_fd ctx fd in
   let wrng = Drbg.create ~seed:(Drbg.next64 env.Sshd_env.rng) in
-  Sshd_session.run ~ctx ~io ~wrng
+  Sshd_session.run ~max_upload_bytes:env.Sshd_env.max_upload_bytes ~ctx ~io ~wrng
     ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
     ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
     ~ops:(ops env ctx) ~exploit ();

@@ -3,6 +3,7 @@ module Kernel = Wedge_kernel.Kernel
 module Cost_model = Wedge_sim.Cost_model
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
+module Server = Wedge_net.Server
 module Fd_table = Wedge_kernel.Fd_table
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
@@ -112,8 +113,9 @@ let slave_ops (env : Sshd_env.t) monitor slave_ctx =
         ok);
   }
 
-let serve_connection ?exploit ?(restart_policy = Supervisor.default_policy) ?supervised
-    ?guard ?max_cmd_bytes ?max_upload_bytes (env : Sshd_env.t) ep =
+(* Serve one connection and say whether it was served (the outcome the
+   accept loop reports to the guard's breaker). *)
+let serve ?exploit ~supervised ~guard (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let monitor = make_monitor env in
   (* Authentication success always goes through m_setuid — the natural
@@ -136,109 +138,50 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.default_policy) ?sup
   let fd = W.add_endpoint main raw_ep Fd_table.perm_rw in
   let wrng = Drbg.create ~seed:(Drbg.next64 env.Sshd_env.rng) in
   let slave_main slave =
-        (* The slave drops privileges after the fork — but its address
-           space is already a copy of the monitor's. *)
-        W.set_identity slave ~target_pid:(W.pid slave) ~uid:99 ~root:"/var/empty" ();
-        let io = io_of_fd slave fd in
-        let exploit =
-          Option.map (fun payload ctx -> payload ctx monitor) exploit
-        in
-        Sshd_session.run ?max_cmd_bytes ?max_upload_bytes ~ctx:slave ~io ~wrng
-          ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
-          ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
-          ~ops:(slave_ops env monitor slave) ~exploit ();
-        0
-  in
-  let outcome =
-    let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-    match supervised with
-    | Some child ->
-        (* When the child stamps from a snapshot pool, the per-connection
-           descriptor must ride in at stamp time — a frozen image cannot
-           know this connection's fd. *)
-        let pool_extra = W.sc_create () in
-        W.sc_fd_add pool_extra fd Fd_table.perm_rw;
-        Supervisor.run_child_fork ?on_restart ~pool_extra child slave_main
-    | None -> Supervisor.supervise_fork ~policy:restart_policy main slave_main
-  in
-  (* An SSH session whose slave died mid-protocol cannot be resumed in
-     plaintext: the degraded answer is a disconnect, monitor intact.  The
-     outcome feeds the guard's breaker either way. *)
-  (match outcome with
-  | Supervisor.Done _ ->
-      (match guard with Some c -> Guard.report c ~ok:true | None -> ())
-  | Supervisor.Gave_up _ ->
-      W.stat main "sshd.degraded";
-      (match guard with Some c -> Guard.report c ~ok:false | None -> ()));
-  W.fd_close main fd;
-  Chan.close ep
-
-(* Freeze a privileged slave boot: the image inherits the monitor's
-   identity (the slave drops privileges itself, exactly as after a fork)
-   and a warmed heap.  Per-connection descriptors ride in at stamp time. *)
-let slave_pool ?(name = "sshd.slave") (env : Sshd_env.t) =
-  let sc = W.sc_create () in
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    env.Sshd_env.main sc
-
-(* The declared privsep topology: listener first, then the slave
-   compartments. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?slave_policy ?pool (env : Sshd_env.t) =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"sshd" env.Sshd_env.main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let slave =
-    Supervisor.child ?policy:slave_policy
-      ~restart:
-        (match pool with
-        | Some p -> Supervisor.From_pool p
-        | None -> Supervisor.Fresh)
-      node ~name:"slave"
-  in
-  (node, listener, slave)
-
-(* Guarded accept loop.  SSH has no pre-handshake plaintext channel to
-   apologise on: over-capacity (or breaker-shed) connections are simply
-   disconnected (the client sees EOF before any version string — the
-   classic sshd MaxStartups behaviour). *)
-let serve_loop ?restart_policy ?max_cmd_bytes ?max_upload_bytes ?supervision
-    (env : Sshd_env.t) guard listener =
-  let main = env.Sshd_env.main in
-  let supervised = Option.map (fun (_, _, slave) -> slave) supervision in
-  let reject decision _ep =
-    match decision with
-    | Guard.Shed -> W.stat main "sshd.shed"
-    | _ -> W.stat main "sshd.rejected"
-  in
-  let serve c =
-    serve_connection ?restart_policy ?supervised ~guard:c ?max_cmd_bytes
-      ?max_upload_bytes env (Guard.ep c)
-  in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
+    (* The slave drops privileges after the fork — but its address space
+       is already a copy of the monitor's. *)
+    W.set_identity slave ~target_pid:(W.pid slave) ~uid:99 ~root:"/var/empty" ();
+    let io = io_of_fd slave fd in
+    let exploit = Option.map (fun payload ctx -> payload ctx monitor) exploit in
+    Sshd_session.run ~max_upload_bytes:env.Sshd_env.max_upload_bytes ~ctx:slave ~io ~wrng
+      ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
+      ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
+      ~ops:(slave_ops env monitor slave) ~exploit ();
     0
   in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
+  (* A pooled slave stamped from a frozen image cannot know this
+     connection's descriptor: it rides in at stamp time, where a fork
+     would have inherited it. *)
+  let inherited = W.sc_create () in
+  W.sc_fd_add inherited fd Fd_table.perm_rw;
+  (* An SSH session whose slave died mid-protocol cannot be resumed in
+     plaintext: the degraded answer is a disconnect, monitor intact. *)
+  let _, degraded, _ =
+    Server.run_worker ~name:"sshd" ~farewell:None ~guard ~supervised
+      ~policy:Supervisor.default_policy main ep (Server.Fork (inherited, slave_main))
+  in
+  W.fd_close main fd;
+  Chan.close ep;
+  not degraded
 
-(* One accept loop per shard, each on its shard's guard and listener. *)
-let serve_sharded ?restart_policy ?max_cmd_bytes ?max_upload_bytes envs front =
-  Array.iteri
-    (fun i env ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?restart_policy ?max_cmd_bytes ?max_upload_bytes env
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    envs
+let serve_connection ?exploit env ep =
+  ignore (serve ?exploit ~supervised:None ~guard:None env ep)
+
+include Server.Make (struct
+  type env = Sshd_env.t
+
+  let name = "sshd"
+  let worker = "slave"
+  let worker_policy = Supervisor.default_policy
+  let main (env : Sshd_env.t) = env.Sshd_env.main
+
+  (* The pooled slave keeps the monitor's identity: a stamped slave drops
+     privileges itself, exactly as a forked one does. *)
+  let identity _ = W.sc_create ()
+
+  (* SSH has no pre-handshake plaintext channel to apologise on: the
+     client sees EOF before any version string (sshd's MaxStartups). *)
+  let reject = None
+  let serve_connection ~supervised ~max_request_bytes:_ ~guard env ep =
+    serve ~supervised ~guard:(Some guard) env ep
+end)

@@ -18,12 +18,9 @@ let charge_cipher ctx n =
   let cm = (W.kernel (W.app_of ctx)).Kernel.costs in
   W.charge_app ctx (cm.Cost_model.hmac_fixed + (cm.Cost_model.cipher_per_byte * n))
 
-let default_max_cmd_bytes = 4096
-let default_max_upload_bytes = 1 lsl 20
+let max_cmd_bytes = 4096
 
-let run ?(max_cmd_bytes = default_max_cmd_bytes)
-    ?(max_upload_bytes = default_max_upload_bytes) ~ctx ~io ~wrng ~host_rsa_pub
-    ~host_dsa_pub ~ops ~exploit () =
+let run ~max_upload_bytes ~ctx ~io ~wrng ~host_rsa_pub ~host_dsa_pub ~ops ~exploit () =
   try
     (* Version exchange. *)
     P.send_plain io (P.Version "WSSH-1.0-wedge-sshd");

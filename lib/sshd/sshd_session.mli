@@ -24,8 +24,7 @@ type priv_ops = {
 }
 
 val run :
-  ?max_cmd_bytes:int ->
-  ?max_upload_bytes:int ->
+  max_upload_bytes:int ->
   ctx:Wedge_core.Wedge.ctx ->
   io:Wedge_tls.Wire.io ->
   wrng:Wedge_crypto.Drbg.t ->
@@ -40,7 +39,7 @@ val run :
     [Exec "xploit"] command (pre- or post-auth), modelling a parser
     vulnerability in this compartment.
 
-    [max_cmd_bytes] (default 4096) caps Exec command length and
-    [max_upload_bytes] (default 1 MiB) caps the scp staging buffer; a
+    Exec commands are capped at 4096 bytes and [max_upload_bytes]
+    (every layout passes its env's) caps the scp staging buffer; a
     breach answers ["command too long"] / ["upload too large"] and
     disconnects instead of buffering attacker-sized data. *)

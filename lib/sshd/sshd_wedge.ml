@@ -271,7 +271,8 @@ let serve_connection ?(recycled = false) ?exploit ?synth (env : Sshd_env.t) ep =
   let worker_body ctx _ =
     let io = io_of_fd ctx fd in
     let ops = worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey in
-    Sshd_session.run ~ctx ~io ~wrng:(Drbg.create ~seed:wrng_seed)
+    Sshd_session.run ~max_upload_bytes:env.Sshd_env.max_upload_bytes ~ctx ~io
+      ~wrng:(Drbg.create ~seed:wrng_seed)
       ~host_rsa_pub:(W.read_lv ctx env.Sshd_env.pub_rsa_addr)
       ~host_dsa_pub:(W.read_lv ctx env.Sshd_env.pub_dsa_addr)
       ~ops ~exploit ();

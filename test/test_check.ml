@@ -258,6 +258,59 @@ let test_sweep_pct_policy () =
       | Explore.Failed _ as v -> Alcotest.failf "%s" (Explore.verdict_to_string v))
     [ "pop3"; "httpd"; "sshd" ]
 
+(* ---------- The server x feature matrix ---------- *)
+
+(* Every scenario that existed before the matrix was generated from one
+   kit per server; the generated registry must still carry each name
+   ("explore catches and shrinks racy" keeps the control honest). *)
+let hand_written =
+  [
+    "pop3"; "httpd"; "sshd"; "httpd_storm"; "pop3_storm"; "sshd_storm";
+    "httpd_reactor_storm"; "httpd_pool_storm"; "pop3_pool_storm"; "sshd_pool_storm";
+    "httpd_sharded"; "pop3_sharded"; "sshd_sharded"; "httpd_synth"; "pop3_synth";
+    "sshd_synth"; "racy";
+  ]
+
+let matrix_only = [ "pop3_reactor_storm"; "sshd_reactor_storm" ]
+
+let test_registry_names () =
+  let names = Scenarios.names () in
+  List.iter
+    (fun n -> check Alcotest.bool ("registered: " ^ n) true (List.mem n names))
+    (hand_written @ matrix_only);
+  check Alcotest.int "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n -> check Alcotest.bool ("findable: " ^ n) true (Scenarios.find n <> None))
+    names
+
+(* One explored schedule of every server cell inside runtest: the pool,
+   sharded and synth features otherwise only run under bin/check.sh. *)
+let test_every_cell_clean () =
+  List.iter
+    (fun (s : Scenarios.t) ->
+      if s.Scenarios.s_name <> "racy" then
+        match Explore.explore ~schedules:1 ~scenario:s.Scenarios.s_name ~seed:1 () with
+        | Explore.Passed _ -> ()
+        | Explore.Failed _ as v ->
+            Alcotest.failf "%s: %s" s.Scenarios.s_name (Explore.verdict_to_string v))
+    Scenarios.all
+
+(* The new reactor cells really park their serve paths on the reactor
+   and heal: a summary without parks or with the breaker left open
+   would mean the cell silently fell back to spin-polling. *)
+let test_reactor_cells_park () =
+  List.iter
+    (fun name ->
+      let s = Option.get (Scenarios.find name) in
+      let summary =
+        s.Scenarios.s_run ~policy:Fiber.Round_robin ~diff:false ~faults:true ~seed:1
+      in
+      check Alcotest.bool (name ^ " breaker closed") true (contains summary "breaker=closed");
+      check Alcotest.bool (name ^ " parked") true
+        (contains summary " reactor_parks=" && not (contains summary " reactor_parks=0 ")))
+    ("httpd_reactor_storm" :: matrix_only)
+
 (* ---------- Pinned regressions the oracles originally surfaced ---------- *)
 
 let test_regression_cow_break_no_double_charge () =
@@ -341,6 +394,12 @@ let () =
           Alcotest.test_case "httpd 35+5 schedules" `Slow test_sweep_httpd;
           Alcotest.test_case "sshd 35+5 schedules" `Slow test_sweep_sshd;
           Alcotest.test_case "pct policy" `Slow test_sweep_pct_policy;
+        ] );
+      ( "matrix",
+        [
+          Alcotest.test_case "registry names" `Quick test_registry_names;
+          Alcotest.test_case "every cell one schedule clean" `Quick test_every_cell_clean;
+          Alcotest.test_case "reactor cells park" `Quick test_reactor_cells_park;
         ] );
       ( "regressions",
         [

@@ -259,7 +259,7 @@ let test_pop3_oversized_command_rejected () =
   let guard = Guard.create ~max_conns:4 () in
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
-      Fiber.spawn (fun () -> Pop3_wedge.serve_loop ~max_line:256 main guard l);
+      Fiber.spawn (fun () -> Pop3_wedge.serve_loop ~max_request_bytes:256 main guard l);
       Byzantine.oversized t l ~size:10_000
         ~is_rejection:(fun s -> contains s "command line too long");
       Guard.drain guard l);

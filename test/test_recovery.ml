@@ -600,7 +600,7 @@ let test_staller_pop3_pooled_restamp () =
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
-      let pool = Wedge_pop3.Pop3_wedge.worker_pool main_ctx in
+      let pool = Wedge_pop3.Pop3_wedge.pool main_ctx in
       let tree = Wedge_pop3.Pop3_wedge.supervision_tree ~pool main_ctx in
       Wedge_pop3.Pop3_wedge.serve_loop ~supervision:tree main_ctx guard l)
     ~prefix:"USER ali"

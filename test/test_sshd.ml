@@ -145,6 +145,32 @@ let test_scp_upload () =
   | Ok saved -> check Alcotest.bool "content intact" true (String.equal saved data)
   | Error _ -> Alcotest.fail "upload not found under alice's home"
 
+(* The scp cap is the env's: every layout refuses an upload one byte
+   over the default 1 MiB, and saves it once the env allows more. *)
+let test_upload_cap variant () =
+  let upload ?max_upload_bytes () =
+    let k = Kernel.create ~costs:Cost_model.free () in
+    let env = Env.install ~image_pages:80 ?max_upload_bytes k in
+    let data = String.make ((1 lsl 20) + 1) 'u' in
+    let reply =
+      with_conn env variant (fun c ->
+          if Client.authenticate c ~user:"alice" (Client.Password "wonderland") then
+            Client.scp c ~path:"big.bin" ~data
+          else None)
+    in
+    (* The monolithic server never leaves "/"; the wedge worker's root
+       became alice's home at authentication. *)
+    let home = match variant with VMono -> "" | VPrivsep | VWedge -> "/home/alice" in
+    let saved = Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 (home ^ "/big.bin") in
+    (reply, Result.map String.length saved)
+  in
+  let reply, saved = upload () in
+  check (Alcotest.option Alcotest.string) "default cap refuses" (Some "upload too large") reply;
+  check Alcotest.bool "nothing saved" true (Result.is_error saved);
+  let reply, saved = upload ~max_upload_bytes:(2 lsl 20) () in
+  check (Alcotest.option Alcotest.string) "raised cap saves" (Some "saved") reply;
+  check Alcotest.bool "all bytes saved" true (saved = Ok ((1 lsl 20) + 1))
+
 let test_shell_runs_as_user () =
   let env = mk_env () in
   let reply =
@@ -413,6 +439,8 @@ let () =
         @ both "exec requires auth" test_exec_requires_auth
         @ [
             Alcotest.test_case "scp upload" `Quick test_scp_upload;
+            Alcotest.test_case "upload cap (mono)" `Quick (test_upload_cap VMono);
+            Alcotest.test_case "upload cap (wedge)" `Quick (test_upload_cap VWedge);
             Alcotest.test_case "shell as user" `Quick test_shell_runs_as_user;
             Alcotest.test_case "skey chain math" `Quick test_skey_chain_math;
           ] );
