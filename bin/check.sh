@@ -123,11 +123,19 @@ cmp "$synth_first" "$synth_second"
 rm -f "$synth_first" "$synth_second"
 WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_synth --schedules 25 --seed 1
 
-# Paper Table 2 gate: the Apache throughput rows and the OpenSSH login and
-# 10 MB scp latencies must all run to completion (exit 0).
-echo "== table2 =="
-table2_start="$(date +%s)"
-dune exec bench/main.exe -- table2
-echo "table2: $(( $(date +%s) - table2_start )) s"
+# Paper-shape gate: the simulated rows of Figure 7, Figure 8, Table 2
+# and the ablations (every one a pure function of the cost model) must
+# match bench/paper_shape.expected byte for byte, so a change that moves
+# a paper number has to update that file on purpose.  Each bench must
+# also run to completion (exit 0), including Table 2's 10 MB scp.
+echo "== paper shapes: fig7 fig8 table2 ablation =="
+shape_start="$(date +%s)"
+shape_out="$(mktemp /tmp/wedge-shape-XXXXXX.txt)"
+for b in fig7 fig8 table2 ablation; do
+  dune exec bench/main.exe -- "$b"
+done > "$shape_out"
+diff -u bench/paper_shape.expected "$shape_out"
+rm -f "$shape_out"
+echo "paper shapes: $(( $(date +%s) - shape_start )) s"
 
 echo "check.sh: all green"
