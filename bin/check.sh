@@ -46,10 +46,10 @@ test -s "$trace_out"
 rm -f "$trace_out"
 
 # Correctness-harness gate: explore 25 seeded schedules of every cell of
-# the server x feature scenario matrix (plain melee, fault storm with
-# induced hangs, pooled and reactor storms, sharded, synthesized
-# profiles; Byzantine clients + armed fault plans) under the invariant
-# oracles.  wedge_cli check exits nonzero — printing a shrunk repro
+# the server x feature scenario matrix (3 servers x plain melee, fault
+# storm with induced hangs on the reactor, pooled storm, sharded,
+# synthesized profiles = 15 cells, plus the racy control; Byzantine
+# clients + armed fault plans) under the invariant oracles.  wedge_cli check exits nonzero — printing a shrunk repro
 # command — if any schedule violates an invariant, a storm ends with the
 # breaker open, or a frame or descriptor leaks.
 echo "== schedule exploration: scenario matrix =="
@@ -75,8 +75,8 @@ WEDGE_SPAWN_SMOKE=1 dune exec bench/main.exe -- spawn
 cmp BENCH_spawn.json "$spawn_first"
 rm -f "$spawn_first"
 
-# Reactor gate: the evented serve path must beat spin-yield blocking by
-# at least 2x on the simulated clock at 1k connections (bench_reactor
+# Reactor gate: the evented serve path must beat a bench-local polling
+# loop by at least 2x on the simulated clock at 1k connections (bench_reactor
 # exits nonzero below 2x, or if an idle connection leaks any simulated
 # cost), and BENCH_reactor.json — simulated integers only — must be
 # byte-stable across two runs.

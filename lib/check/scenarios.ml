@@ -14,8 +14,8 @@
    Every server supplies one {!kit} — how to boot it on a kernel, its
    melee stimuli, its clean request or heal probe, its rejection
    predicate and its summary extras — and every feature (plain, storm,
-   pool storm, reactor storm, sharded, synth) is written once against
-   the kit.  The registry is the product of the two.
+   pool storm, sharded, synth) is written once against the kit.  The
+   registry is the product of the two.
 
    Failures are exceptions: [Oracle.Violation], [Refvm.Mismatch], a
    scenario's own end-state assertion, or anything a server let escape
@@ -62,12 +62,12 @@ let contains hay needle =
 (* Run [main] under [policy] with the oracle (and optionally the
    differential model) armed, then sweep.  [summarize] builds the
    deterministic outcome line from whatever the scenario observed.
-   [extra_hook] (e.g. a watchdog sweep) is composed {e before} the
-   oracle's sampled check, so invariants like [Watchdog.self_check] hold
-   at every inspected switch; [clock] is threaded to the fiber scheduler
-   so induced ["fiber.stall"] faults charge simulated time. *)
-let checked ~kernel ?app ?sched_faults ?clock ?extra_hook ?on_idle ~policy ~diff main
-    summarize =
+   [reactor]'s hook (timers, and the watchdog sweep riding its tick) runs
+   {e before} the oracle's sampled check, so invariants like
+   [Watchdog.self_check] hold at every inspected switch, and its [idle]
+   is the scheduler's [on_idle]; [clock] is threaded to the fiber
+   scheduler so induced ["fiber.stall"] faults charge simulated time. *)
+let checked ~kernel ?app ?sched_faults ?clock ?reactor ~policy ~diff main summarize =
   let oracle = Oracle.create kernel in
   (match app with Some a -> Oracle.set_app oracle a | None -> ());
   let refvm = if diff then Some (Refvm.create kernel) else None in
@@ -75,13 +75,15 @@ let checked ~kernel ?app ?sched_faults ?clock ?extra_hook ?on_idle ~policy ~diff
   (match refvm with Some rv -> Refvm.arm rv | None -> ());
   let on_switch =
     let ohook = Oracle.hook oracle in
-    match extra_hook with
+    match reactor with
     | None -> ohook
-    | Some h ->
+    | Some r ->
+        let rhook = Reactor.hook r in
         fun () ->
-          h ();
+          rhook ();
           ohook ()
   in
+  let on_idle = Option.map Reactor.idle reactor in
   Fun.protect
     ~finally:(fun () ->
       Oracle.remove_syscall_hook oracle;
@@ -322,16 +324,15 @@ let run_plain (type e) (kit : e kit) ~policy ~diff ~faults ~seed =
   let clock = k.Kernel.clock in
   let env = kit.boot ~seed k in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
-  (* The guard gets the clock only to enforce a header deadline. *)
+  let r = Reactor.create ~clock () in
   let guard =
-    Guard.create
-      ?clock:(Option.map (fun _ -> clock) kit.header_deadline_ns)
-      ?header_deadline_ns:kit.header_deadline_ns ~max_conns:kit.max_conns ()
+    Guard.create ?header_deadline_ns:kit.header_deadline_ns ~reactor:r
+      ~max_conns:kit.max_conns ()
   in
   let t = Byzantine.tally () and loris = Byzantine.tally () in
   let at = { listener = (fun _ -> l); clock_of = (fun _ -> clock); env_of = (fun _ -> env) } in
   let real = ref (fun () -> "") in
-  checked ~kernel:k ~app:(kit.app env) ~policy ~diff
+  checked ~kernel:k ~app:(kit.app env) ~reactor:r ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(kit.server ^ ".guard") guard;
       Fiber.spawn (fun () -> S.serve_loop ?max_request_bytes:kit.max_request_bytes env guard l);
@@ -460,11 +461,12 @@ let storm_breaker () =
   Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6 ~window_ns:40_000
     ~open_ns:5_000 ~probes:2 ~brownout:0.3 ()
 
-(* The watchdog sweep runs at every context switch ([checked]'s
-   [extra_hook]), so a hung heart is cut within one scheduling step of
-   its deadline.  The oracle re-checks between switches too (syscall
-   entries), where a single large clock charge (a 20 µs induced stall)
-   can land before the next sweep — the slack covers exactly that. *)
+(* The watchdog sweep rides the reactor tick ([checked]'s [reactor]
+   hook, at the first switch after the clock moves), so a hung heart is
+   cut within one scheduling step of its deadline.  The oracle re-checks
+   between switches too (syscall entries), where a single large clock
+   charge (a 20 µs induced stall) can land before the next sweep — the
+   slack covers exactly that. *)
 let storm_watchdog_invariant oracle w =
   Oracle.add_invariant oracle ~name:"watchdog.cut-by-deadline" (fun () ->
       Watchdog.self_check ~slack_ns:50_000 w)
@@ -487,16 +489,16 @@ let heal_probe kit ~seed env l =
       let probes = Byzantine.tally () in
       fun () -> Byzantine.oneshot probes l ~request:kit.request ~is_rejection:kit.rejection
 
-(* The storm, its pooled form, and its reactor form: the same melee and
-   self-healing assertions.  [pooled] stamps every worker from the
-   server's snapshot pool (stamp faults armed, frozen-frame sweep, spawn
-   advantage measured); [reactor] parks the serve path on the reactor
-   instead of spin-polling — deadlines on the timer wheel, the watchdog
-   pumped from the timer tick, accept bursts drained in one wake — and
-   adds the reactor's interest-set audit as an oracle invariant: no
-   waiter whose readiness already holds stays parked (lost wakeup), no
-   registration survives on a dead handle, no parked fiber lacks one. *)
-let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~seed =
+(* The storm and its pooled form: the same melee and self-healing
+   assertions.  [pooled] stamps every worker from the server's snapshot
+   pool (stamp faults armed, frozen-frame sweep, spawn advantage
+   measured).  The serve path parks on the reactor — deadlines on the
+   timer wheel, the watchdog swept from the timer tick, accept bursts
+   drained in one wake — and the reactor's interest-set audit is an
+   oracle invariant: no waiter whose readiness already holds stays
+   parked (lost wakeup), no registration survives on a dead handle, no
+   parked fiber lacks one. *)
+let run_storm (type e) ~pooled (kit : e kit) ~policy ~diff ~faults ~seed =
   let module S = (val kit.serve : Wedge_net.Server.SERVE with type env = e) in
   let advantage = if pooled then Some (spawn_advantage ~image_pages:kit.image_pages) else None in
   let plan = storm_plan ~pooled ~seed ~faults ~cgates:kit.cgate_faults in
@@ -505,11 +507,11 @@ let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~see
   let env = kit.boot ~seed k in
   let app = kit.app env in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
-  let r = if reactor then Some (Reactor.create ~clock ()) else None in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
+  let r = Reactor.create ~clock () in
+  let w = Watchdog.create ~deadline_ns:6_000 r in
   let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
-      ?reactor:r ~max_conns:kit.max_conns ()
+    Guard.create ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
+      ~reactor:r ~max_conns:kit.max_conns ()
   in
   let t = Byzantine.tally () in
   let at = { listener = (fun _ -> l); clock_of = (fun _ -> clock); env_of = (fun _ -> env) } in
@@ -518,29 +520,12 @@ let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~see
   let node, _, _ = tree in
   let heal = ref 0 in
   let probe_outcome = ref "-" in
-  (* The reactor ticks before the watchdog hook: a timer-driven cut lands
-     first, then the sweep, then the oracle's sampled check observes the
-     settled state. *)
-  let extra_hook =
-    let whook = Watchdog.hook w in
-    match r with
-    | None -> whook
-    | Some r ->
-        let rhook = Reactor.hook r in
-        fun () ->
-          rhook ();
-          whook ()
-  in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook
-    ?on_idle:(Option.map Reactor.idle r) ~policy ~diff
+  checked ~kernel:k ~app ~sched_faults:plan ~clock ~reactor:r ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(kit.server ^ ".guard") guard;
       storm_watchdog_invariant oracle w;
-      Option.iter
-        (fun r ->
-          Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
-              Reactor.self_check r))
-        r;
+      Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
+          Reactor.self_check r);
       Fiber.spawn (fun () ->
           S.serve_loop ?max_request_bytes:kit.max_request_bytes ~supervision:tree env guard l);
       Fault_plan.arm plan;
@@ -554,12 +539,9 @@ let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~see
       heal := heal_breaker ~what:kit.server guard clock (heal_probe kit ~seed env l);
       Guard.drain guard l;
       assert_pool_used ~pooled ~server:kit.server app;
-      Option.iter
-        (fun r ->
-          match Reactor.self_check r with
-          | Some msg -> raise (Oracle.Violation (kit.server ^ "_reactor_storm: " ^ msg))
-          | None -> ())
-        r)
+      match Reactor.self_check r with
+      | Some msg -> raise (Oracle.Violation (kit.server ^ "_storm: " ^ msg))
+      | None -> ())
     (fun () ->
       storm_summary ~server:kit.server ~k ~t ~heal:!heal ~guard ~w ~tree:node
       ^ pool_summary ~pooled app
@@ -568,12 +550,9 @@ let run_storm (type e) ~pooled ~reactor (kit : e kit) ~policy ~diff ~faults ~see
         | None -> ""
         | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
       ^
-      match r with
-      | None -> ""
-      | Some r ->
-          let rs = Reactor.stats r in
-          Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
-            rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
+      let rs = Reactor.stats r in
+      Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d" rs.Reactor.parks
+        rs.Reactor.wakeups rs.Reactor.timer_fires)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scenarios: N kernels behind a hashed front door, with the
@@ -751,14 +730,7 @@ let run_sharded (type e) (kit : e kit) ~policy ~diff ~faults ~seed =
    test_synth.ml). *)
 
 let accept_next l =
-  let got = ref None in
-  Fiber.wait_until ~what:"synth accept" (fun () ->
-      match Chan.accept l with
-      | Some ep ->
-          got := Some ep;
-          true
-      | None -> false);
-  Option.get !got
+  match Chan.accept l with Some ep -> ep | None -> failwith "synth: listener down"
 
 let profile_digest ptext = Digest.to_hex (Digest.string ptext)
 
@@ -1053,22 +1025,17 @@ let features =
       suffix = "_storm";
       about =
         (fun kit ->
-          kit.server ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree");
-      run = (fun kit -> run_storm ~pooled:false ~reactor:false kit);
-    };
-    {
-      suffix = "_reactor_storm";
-      about =
-        (fun kit ->
-          kit.server ^ " storm on the event reactor: parked fibers, timer deadlines, wake audit");
-      run = (fun kit -> run_storm ~pooled:false ~reactor:true kit);
+          kit.server
+          ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree, \
+             wake audit");
+      run = (fun kit -> run_storm ~pooled:false kit);
     };
     {
       suffix = "_pool_storm";
       about =
         (fun kit ->
           kit.server ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep");
-      run = (fun kit -> run_storm ~pooled:true ~reactor:false kit);
+      run = (fun kit -> run_storm ~pooled:true kit);
     };
     {
       suffix = "_sharded";

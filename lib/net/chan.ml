@@ -29,31 +29,28 @@ type dir = {
   mutable wpos : int;
   mutable closed : bool;
   mutable reset : bool;
-  mutable handle : Reactor.handle option;
-      (* readiness interest set for this direction when a reactor is
-         attached: its reader parks on it for data/EOF, its writer for
-         drained backpressure space.  [None] (the default) keeps the
-         historical spin-yield blocking byte-for-byte — every seeded
-         replay test depends on that. *)
+  handle : Reactor.handle;
+      (* readiness interest set for this direction: its reader parks on
+         it for data/EOF, its writer for drained backpressure space.
+         Unbound until a reactor is attached to count and audit it. *)
 }
 
-let dir_create () =
+let dir_create ~name =
   {
     data = Bytes.create 256;
     rpos = 0;
     wpos = 0;
     closed = false;
     reset = false;
-    handle = None;
+    handle = Reactor.unbound ~name;
   }
 let dir_available d = d.wpos - d.rpos
 
 (* One readiness edge: data arrived, space drained, or the direction
    died.  Level-triggered waiters re-check their own condition, so
-   signalling coarsely (every push, every pop) is correct; the disarmed
-   cost is one option match. *)
-let dir_signal d =
-  match d.handle with Some h -> Reactor.signal h | None -> ()
+   signalling coarsely (every push, every pop) is correct; with nobody
+   waiting it costs one list match. *)
+let dir_signal d = Reactor.signal d.handle
 
 let dir_push d b =
   let n = Bytes.length b in
@@ -91,10 +88,9 @@ type ep = {
   faults : Fault_plan.t option;
   trace : Trace.t;
   capacity : int option;
-      (* high watermark on in-flight bytes per direction: a writer blocks
-         on the fiber scheduler above it and resumes at half (the low
-         watermark), so no peer can balloon a channel buffer without
-         bound *)
+      (* high watermark on in-flight bytes per direction: a writer parks
+         above it and resumes at half (the low watermark), so no peer can
+         balloon a channel buffer without bound *)
 }
 
 (* Channel events are attributed to pid 0 — the wire itself, not any
@@ -106,7 +102,7 @@ let pair ?clock ?(costs = Cost_model.default) ?faults ?(trace = Trace.null)
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Chan.pair: capacity <= 0"
   | _ -> ());
-  let ab = dir_create () and ba = dir_create () in
+  let ab = dir_create ~name:"chan.tx" and ba = dir_create ~name:"chan.rx" in
   ( { rx = ba; tx = ab; clock; costs; faults; trace; capacity },
     { rx = ab; tx = ba; clock; costs; faults; trace; capacity } )
 
@@ -124,7 +120,7 @@ let dir_kill d =
   d.wpos <- 0;
   d.closed <- true;
   d.reset <- true;
-  match d.handle with Some h -> Reactor.kill h | None -> ()
+  Reactor.kill d.handle
 
 (* Close as reset but let already-buffered bytes drain (truncation). *)
 let dir_kill_keep_data d =
@@ -143,20 +139,14 @@ let kill ep =
 let charge_delay ep ns =
   match ep.clock with Some c -> Clock.charge c ns | None -> ()
 
-(* Block until this endpoint is readable.  Reactor-attached directions
-   park — zero scheduler steps while blocked — everything else keeps the
-   historical spin-yield wait byte-for-byte. *)
-let wait_rx ?(bytes = 1) ep =
+(* Park until this endpoint is readable — zero scheduler steps while
+   blocked. *)
+let wait_rx ?(bytes = 1) ?on_stall ep =
   let bytes = max 1 bytes in
-  let ready () = dir_available ep.rx >= bytes || ep.rx.closed in
-  match ep.rx.handle with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"channel data" ~ready
-  | _ -> Fiber.wait_until ~what:"channel data" ready
+  Reactor.wait ?on_stall ep.rx.handle ~what:"channel data" ~ready:(fun () ->
+      dir_available ep.rx >= bytes || ep.rx.closed)
 
-let block_for_data ep = wait_rx ep
-
-let wait_readable = block_for_data
+let wait_readable ep = wait_rx ep
 
 let read ep n =
   if n <= 0 then invalid_arg "Chan.read: n <= 0";
@@ -179,7 +169,7 @@ let read ep n =
   | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
   | None -> ());
   let blocked = dir_available ep.rx = 0 && not ep.rx.closed in
-  block_for_data ep;
+  wait_readable ep;
   if blocked then charge_rtt ep true;
   let b = dir_pop ep.rx n in
   Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:(Bytes.length b);
@@ -213,45 +203,26 @@ let read_exact ep n =
     go 0 0
   end
 
-(* Writer-side backpressure: above the high watermark, spin-yield until
-   the reader drains to the low watermark.  If the whole system stalls
-   while we wait (the peer will never read), tear the direction down and
-   raise a contained [Resource_exhausted] — the in-flight byte budget is
-   a resource like any other, and a stalled bounded write must become a
-   compartment fault, never a scheduler deadlock. *)
-let backpressure_spins = 2_000
-
-let spin_for_space ep ~low =
-  let rec loop last spins =
-    if dir_available ep.tx <= low || ep.tx.closed then ()
-    else if Fiber.stamp () = last && spins > backpressure_spins then begin
+(* Writer-side backpressure: above the high watermark, park until the
+   reader drains to the low watermark.  If the whole world stalls while
+   we wait (the peer will never read, no deadline will cut it), the stall
+   rule tears the direction down and the write raises a contained
+   [Resource_exhausted] — the in-flight byte budget is a resource like
+   any other, and a stalled bounded write must become a compartment
+   fault, never a scheduler deadlock. *)
+let wait_for_space ep cap =
+  let low = max 1 (cap / 2) in
+  Reactor.wait ep.tx.handle ~what:"channel space"
+    ~ready:(fun () -> dir_available ep.tx <= low || ep.tx.closed)
+    ~on_stall:(fun () ->
+      let in_flight = dir_available ep.tx in
       dir_kill ep.tx;
       Fiber.progress ();
       raise
         (Rlimit.Resource_exhausted
            (Printf.sprintf
               "chan.write: bounded channel stalled (%d bytes in flight, peer not reading)"
-              (dir_available ep.tx)))
-    end
-    else begin
-      Fiber.yield ();
-      let s = Fiber.stamp () in
-      if s = last then loop last (spins + 1) else loop s 0
-    end
-  in
-  loop (Fiber.stamp ()) 0
-
-let wait_for_space ep cap =
-  let low = max 1 (cap / 2) in
-  (* A reactor-attached writer parks for the drain signal instead of
-     spinning; a peer that never reads is then the admission layer's
-     problem (deadline cut -> abort -> wake to a contained error), or —
-     with no guard armed — a reported deadlock naming this fiber. *)
-  match ep.tx.handle with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"channel space" ~ready:(fun () ->
-          dir_available ep.tx <= low || ep.tx.closed)
-  | _ -> spin_for_space ep ~low
+              in_flight)))
 
 let write ep b =
   if ep.tx.closed then
@@ -335,7 +306,7 @@ let readv ep vm iovs =
     | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
     | None -> ());
     let blocked = dir_available ep.rx = 0 && not ep.rx.closed in
-    block_for_data ep;
+    wait_readable ep;
     if blocked then charge_rtt ep true;
     let total = ref 0 in
     (try
@@ -425,17 +396,12 @@ let is_eof ep = dir_available ep.rx = 0 && ep.rx.closed
 let bytes_in_flight ep = dir_available ep.rx
 let capacity ep = ep.capacity
 
-(* Attach a reactor to this endpoint: both directions get interest-set
-   handles, so readers/writers of either side park instead of spinning.
-   Idempotent; the peer endpoint shares the same dirs and is attached by
-   the same call. *)
+(* Let a reactor count and audit both directions' waits.  Idempotent;
+   the peer endpoint shares the same dirs and is attached by the same
+   call. *)
 let attach_reactor r ep =
-  (match ep.rx.handle with
-  | Some _ -> ()
-  | None -> ep.rx.handle <- Some (Reactor.handle r ~name:"chan.rx"));
-  match ep.tx.handle with
-  | Some _ -> ()
-  | None -> ep.tx.handle <- Some (Reactor.handle r ~name:"chan.tx")
+  Reactor.bind r ep.rx.handle;
+  Reactor.bind r ep.tx.handle
 
 let to_endpoint ep =
   {
@@ -444,11 +410,10 @@ let to_endpoint ep =
     ep_close = (fun () -> close ep);
     ep_eof = (fun () -> is_eof ep);
     ep_desc = "chan";
-    (* Pre-trap wait only in reactor mode: the unattached path must keep
-       blocking inside [read] (after the trap, with its half-RTT charge)
-       byte-for-byte. *)
-    ep_wait =
-      Some (fun () -> if ep.rx.handle <> None then wait_readable ep);
+    (* The engine parks here before charging the syscall trap, so an idle
+       descriptor burns no fuel — and the read that follows finds its
+       bytes already buffered, charging no half-RTT. *)
+    ep_wait = Some (fun () -> wait_readable ep);
     ep_readv = Some (fun vm iovs -> readv ep vm iovs);
     ep_writev = Some (fun vm iovs -> writev ep vm iovs);
   }
@@ -465,7 +430,7 @@ type listener = {
   lfaults : Fault_plan.t option;
   ltrace : Trace.t;
   lcapacity : int option;
-  mutable l_h : Reactor.handle option;
+  l_h : Reactor.handle;
       (* accept-queue interest set: the acceptor parks on it and a SYN
          burst wakes it once to drain the whole backlog *)
   mutable l_reactor : Reactor.t option;
@@ -488,16 +453,14 @@ let listener ?clock ?(costs = Cost_model.default) ?faults
     lfaults = faults;
     ltrace = trace;
     lcapacity = capacity;
-    l_h = None;
+    l_h = Reactor.unbound ~name:"chan.listener";
     l_reactor = None;
   }
 
-(* Park acceptors on the queue instead of spinning, and attach every
+(* Let a reactor count and audit the acceptors' waits, and attach every
    connection this listener mints from now on.  Idempotent. *)
 let attach_listener r l =
-  (match l.l_h with
-  | Some _ -> ()
-  | None -> l.l_h <- Some (Reactor.handle r ~name:"chan.listener"));
+  Reactor.bind r l.l_h;
   l.l_reactor <- Some r
 
 let refuse l msg =
@@ -538,17 +501,14 @@ let connect l =
       attach_reactor r client
   | None -> ());
   Queue.push server l.queue;
-  (match l.l_h with Some h -> Reactor.signal h | None -> ());
+  Reactor.signal l.l_h;
   Trace.instant l.ltrace ~name:"chan.connect" ~pid:net_pid;
   Fiber.progress ();
   client
 
 let accept l =
-  let ready () = not (Queue.is_empty l.queue) || l.down in
-  (match l.l_h with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"incoming connection" ~ready
-  | _ -> Fiber.wait_until ~what:"incoming connection" ready);
+  Reactor.wait l.l_h ~what:"incoming connection" ~ready:(fun () ->
+      not (Queue.is_empty l.queue) || l.down);
   let r = Queue.take_opt l.queue in
   if Option.is_some r then Trace.instant l.ltrace ~name:"chan.accept" ~pid:net_pid;
   r
@@ -560,7 +520,7 @@ let shutdown l =
   Queue.iter kill l.queue;
   Queue.clear l.queue;
   (* Parked acceptors wake to the [down] flag; no new registrations. *)
-  (match l.l_h with Some h -> Reactor.kill h | None -> ());
+  Reactor.kill l.l_h;
   Fiber.progress ()
 
 let pending l = Queue.length l.queue

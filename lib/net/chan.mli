@@ -1,7 +1,8 @@
 (** Simulated duplex byte-stream channels (TCP-connection stand-ins).
 
-    Reads block the calling {!Wedge_sim.Fiber} until data arrives or the
-    peer closes; a blocking read charges half a network round trip to the
+    Reads park the calling {!Wedge_sim.Fiber} until data arrives or the
+    peer closes; a read that blocks inside {!read} (rather than in
+    {!wait_readable} before it) charges half a network round trip to the
     simulated clock when one is attached.  Endpoints convert to
     {!Wedge_kernel.Fd_table.endpoint}s so compartments reach the network
     only through descriptor permissions. *)
@@ -33,11 +34,12 @@ val pair :
     immediately.
 
     [capacity] bounds in-flight bytes per direction: a writer at the high
-    watermark blocks on the fiber scheduler and resumes once the reader
-    drains to half.  If the whole system stalls while a writer is blocked
-    (the peer will never read), the direction is torn down and the write
-    raises {!Wedge_kernel.Rlimit.Resource_exhausted} — contained by the
-    engine as a compartment fault, never a scheduler deadlock. *)
+    watermark parks and resumes once the reader drains to half.  If the
+    whole world stalls while a writer is parked (the peer will never read,
+    no timer will fire), the scheduler's stall rule tears the direction
+    down and the write raises {!Wedge_kernel.Rlimit.Resource_exhausted}
+    naming the bytes in flight — contained by the engine as a compartment
+    fault, never a scheduler deadlock. *)
 
 val read : ep -> int -> bytes
 (** Up to [n] bytes; blocks until at least one byte or EOF; the empty result
@@ -80,22 +82,21 @@ val writev : ep -> Wedge_kernel.Vm.t -> (int * int) array -> int
     nothing (no partial-write corruption).  Returns the byte total. *)
 
 val wait_readable : ep -> unit
-(** Block until a read would make progress (data buffered, or EOF).  On a
-    reactor-attached endpoint the fiber parks — zero scheduler steps and
-    zero syscall fuel while idle; otherwise this is the historical
-    spin-yield wait.  The engine calls it before the syscall trap. *)
+(** Park until a read would make progress (data buffered, or EOF) — zero
+    scheduler steps while idle.  The engine calls it (as the descriptor's
+    [ep_wait]) before the syscall trap, so an idle descriptor burns no
+    fuel. *)
 
-val wait_rx : ?bytes:int -> ep -> unit
+val wait_rx : ?bytes:int -> ?on_stall:(unit -> unit) -> ep -> unit
 (** {!wait_readable} generalized to a minimum byte count (default 1):
-    returns once [bytes] are buffered or the direction closed. *)
+    returns once [bytes] are buffered or the direction closed.
+    [on_stall] is the wait's {!Wedge_sim.Fiber.park} stall action. *)
 
 val attach_reactor : Wedge_sim.Reactor.t -> ep -> unit
-(** Drive this connection's blocking through a reactor: readers and
-    writers of both directions park on interest sets and are woken in
-    batches at sync points instead of spin-polling.  One call covers the
-    peer endpoint too (the two ends share their dirs).  Idempotent.
-    Unattached endpoints keep the historical spin-yield blocking
-    byte-for-byte. *)
+(** Let a reactor count and audit this connection's waits (both
+    directions' interest sets).  Blocking itself is the same with or
+    without one.  One call covers the peer endpoint too (the two ends
+    share their dirs).  Idempotent. *)
 
 val close : ep -> unit
 
@@ -143,15 +144,15 @@ val connect : listener -> ep
     listener is down ([refused] counts both). *)
 
 val accept : listener -> ep option
-(** Blocks until a connection arrives or the listener shuts down.  On a
-    reactor-attached listener the acceptor parks and a connect burst
-    wakes it once — the level-triggered re-check then drains the whole
-    backlog without re-parking between connections. *)
+(** Parks until a connection arrives or the listener shuts down.  A
+    connect burst wakes the acceptor once — the level-triggered re-check
+    then drains the whole backlog without re-parking between
+    connections. *)
 
 val attach_listener : Wedge_sim.Reactor.t -> listener -> unit
-(** Park acceptors on the accept queue's interest set, and auto-attach
-    ({!attach_reactor}) every connection this listener mints from now
-    on.  Idempotent. *)
+(** Let a reactor count and audit the accept queue's waits, and
+    auto-attach ({!attach_reactor}) every connection this listener mints
+    from now on.  Idempotent. *)
 
 val shutdown : listener -> unit
 (** Stop accepting; still-queued (never-to-be-accepted) connections are

@@ -83,15 +83,15 @@ type t = {
   max_conns : int;
   header_deadline_ns : int option;
   idle_deadline_ns : int option;
-  clock : Clock.t option;
   trace : Trace.t;
   breaker : breaker option;
   watchdog : Watchdog.t option;
   reactor : Reactor.t option;
-      (* reactor-driven mode: admitted connections are attached (their
-         readers park instead of spin-polling), deadlines live on the
-         timer wheel, and the watchdog is pumped from [on_tick].  [None]
-         keeps every historical spin/poll path byte-for-byte. *)
+      (* the guard's clock and timer wheel: deadlines are timers on it,
+         the breaker ages on its clock, and admitted connections (and the
+         accept loop's listener) are attached to it *)
+  released : Reactor.handle;
+      (* signalled at every [release]: what [drain] parks on *)
   mutable conns : conn list;
   mutable active_n : int;
       (* |conns|, maintained at admit/release so the admission check is
@@ -132,28 +132,17 @@ type stats = {
   s_breaker_opened : int;
 }
 
-(* Spin thresholds, ordered below the fiber scheduler's deadlock detector
-   (10_000): governance must always act first, converting a wedged
-   connection into a contained cut rather than a scheduler crash. *)
-let guard_spins = 2_000
-let drain_spins = 5_000
-
-let create ?clock ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
-    ?reactor ?(trace = Trace.null) ~max_conns () =
+let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog ?reactor
+    ?(trace = Trace.null) ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
-  (match (header_deadline_ns, idle_deadline_ns, clock) with
+  (match (header_deadline_ns, idle_deadline_ns, reactor) with
   | (Some _, _, None | _, Some _, None) ->
-      invalid_arg "Guard.create: deadlines need a clock"
-  | _ -> ());
-  (match (reactor, clock) with
-  | Some r, Some c when Reactor.clock r != c ->
-      invalid_arg "Guard.create: reactor must share the guard's clock"
-  | Some _, None -> invalid_arg "Guard.create: a reactor needs a clock"
+      invalid_arg "Guard.create: deadlines need a reactor"
   | _ -> ());
   let breaker =
-    match (breaker, clock) with
+    match (breaker, reactor) with
     | None, _ -> None
-    | Some _, None -> invalid_arg "Guard.create: a breaker needs a clock"
+    | Some _, None -> invalid_arg "Guard.create: a breaker needs a reactor"
     | Some bcfg, Some _ ->
         Some
           {
@@ -171,34 +160,26 @@ let create ?clock ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
             b_reactions = [];
           }
   in
-  let t =
-    {
-      max_conns;
-      header_deadline_ns;
-      idle_deadline_ns;
-      clock;
-      trace;
-      breaker;
-      watchdog;
-      reactor;
-      conns = [];
-      active_n = 0;
-      draining = false;
-      admitted = 0;
-      rejected_busy = 0;
-      rejected_draining = 0;
-      timed_out = 0;
-      forced = 0;
-    }
-  in
-  (* With everyone parked, no poll loop pumps the watchdog — the timer
-     sweep does it instead, exactly when simulated time moves. *)
-  (match (reactor, watchdog) with
-  | Some r, Some w -> Reactor.on_tick r (fun () -> Watchdog.sweep w)
-  | _ -> ());
-  t
+  {
+    max_conns;
+    header_deadline_ns;
+    idle_deadline_ns;
+    trace;
+    breaker;
+    watchdog;
+    reactor;
+    released = Reactor.unbound ~name:"guard.released";
+    conns = [];
+    active_n = 0;
+    draining = false;
+    admitted = 0;
+    rejected_busy = 0;
+    rejected_draining = 0;
+    timed_out = 0;
+    forced = 0;
+  }
 
-let now t = match t.clock with Some c -> Clock.now c | None -> 0
+let now t = match t.reactor with Some r -> Clock.now (Reactor.clock r) | None -> 0
 
 (* Guard events carry pid 0: admission happens before any compartment
    exists for the connection. *)
@@ -261,19 +242,16 @@ let breaker_decision t =
           else `Admit false)
 
 let overdue c =
-  match c.g.clock with
-  | None -> false
-  | Some clk ->
-      let n = Clock.now clk in
-      let header_overdue =
-        match c.g.header_deadline_ns with
-        | Some d when not c.is_established -> n - c.opened_ns > d
-        | _ -> false
-      in
-      let idle_overdue =
-        match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
-      in
-      header_overdue || idle_overdue
+  let n = now c.g in
+  let header_overdue =
+    match c.g.header_deadline_ns with
+    | Some d when not c.is_established -> n - c.opened_ns > d
+    | _ -> false
+  in
+  let idle_overdue =
+    match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
+  in
+  header_overdue || idle_overdue
 
 let cut c =
   if not c.is_cut then begin
@@ -445,8 +423,8 @@ let release c =
     let g = c.g in
     g.conns <- List.filter (fun c' -> c' != c) g.conns;
     g.active_n <- g.active_n - 1;
-    (* Freeing a slot is global progress: an accept loop or drain waiting
-       on the connection count must not read this as a stall. *)
+    (* Freeing a slot is global progress, and wakes a parked drain. *)
+    Reactor.signal g.released;
     Fiber.progress ()
   end
 
@@ -474,110 +452,63 @@ let rearm_heart c =
 
 let ep c = c.ep
 
-(* Deadline-aware endpoint.  Reads poll rather than block: data ready or
-   EOF delegates to the channel (which then cannot block), a passed
-   deadline or a globally stalled system cuts the connection and returns
-   EOF to the worker.  The worker compartment thus never holds a slot
-   past its deadline, and a silent client (never writes, never advances
-   the clock) is detected by the stall check before the scheduler's
-   deadlock detector fires. *)
-let guarded_read c n =
-  if c.is_cut then Bytes.empty
+(* Deadline-aware reads, plain and vectored.  The worker parks for data
+   or EOF; the deadline lives on the reactor's timer wheel, and a cut
+   aborts the channel, which kills its interest sets and wakes this park
+   to EOF.  The worker compartment thus never holds a slot past its
+   deadline.  [readable] says whether the read may go ahead. *)
+let readable c =
+  if c.is_cut then false
   else if overdue c then begin
     cut c;
-    Bytes.empty
-  end
-  else if c.g.reactor <> None then begin
-    (* Reactor path: park for data/EOF — no polling.  The deadline lives
-       on the timer wheel; a cut aborts the channel, which kills its
-       interest sets and wakes this park to EOF. *)
-    Chan.wait_readable c.ep;
-    if c.is_cut then Bytes.empty
-    else begin
-      let b = Chan.read c.ep n in
-      if Bytes.length b > 0 then begin
-        c.last_read_ns <- now c.g;
-        match c.heart with Some h -> Watchdog.beat h | None -> ()
-      end;
-      b
-    end
+    false
   end
   else begin
-    let has_deadline =
-      c.g.header_deadline_ns <> None || c.g.idle_deadline_ns <> None
-    in
-    if not has_deadline then Chan.read c.ep n
-    else begin
-      let rec wait last spins =
-        if Chan.bytes_in_flight c.ep > 0 || Chan.is_eof c.ep then `Ready
-        else if c.is_cut then `Cut
-        else if overdue c then `Timeout
-        else if Fiber.stamp () = last && spins > guard_spins then `Timeout
-        else begin
-          (* The worker's poll loop doubles as a watchdog pump: hearts of
-             other wedged connections are swept even when no scheduler
-             hook is armed. *)
-          (match c.g.watchdog with Some w -> Watchdog.sweep w | None -> ());
-          Fiber.yield ();
-          let s = Fiber.stamp () in
-          if s = last then wait last (spins + 1) else wait s 0
-        end
-      in
-      match wait (Fiber.stamp ()) 0 with
-      | `Cut -> Bytes.empty
-      | `Timeout ->
-          cut c;
-          Bytes.empty
-      | `Ready ->
-          let b = Chan.read c.ep n in
-          if Bytes.length b > 0 then begin
-            c.last_read_ns <- now c.g;
-            (* Progress: delivered bytes beat this connection's heart. *)
-            match c.heart with Some h -> Watchdog.beat h | None -> ()
-          end;
-          b
-    end
+    Chan.wait_readable c.ep;
+    not c.is_cut
+  end
+
+(* Progress: delivered bytes restart the idle clock and beat this
+   connection's heart. *)
+let delivered c n =
+  if n > 0 then begin
+    c.last_read_ns <- now c.g;
+    match c.heart with Some h -> Watchdog.beat h | None -> ()
   end
 
 let endpoint c =
   {
-    Wedge_kernel.Fd_table.ep_read = (fun n -> guarded_read c n);
+    Wedge_kernel.Fd_table.ep_read =
+      (fun n ->
+        if readable c then begin
+          let b = Chan.read c.ep n in
+          delivered c (Bytes.length b);
+          b
+        end
+        else Bytes.empty);
     ep_write = (fun b -> Chan.write c.ep b);
     ep_close = (fun () -> Chan.close c.ep);
     ep_eof = (fun () -> c.is_cut || Chan.is_eof c.ep);
     ep_desc = "guarded-chan";
     (* The engine calls [ep_wait] before charging the syscall trap, so a
-       reactor-parked worker burns zero fuel while its client is silent.
-       Without a reactor it is a no-op — the historical polled read
-       (with its fuel charges) stays byte-for-byte. *)
+       parked worker burns zero fuel while its client is silent. *)
     ep_wait =
-      Some
-        (fun () ->
-          if c.g.reactor <> None && (not c.is_cut) && not (overdue c) then
-            Chan.wait_readable c.ep);
+      Some (fun () -> if (not c.is_cut) && not (overdue c) then Chan.wait_readable c.ep);
     ep_readv =
       Some
         (fun vm iovs ->
-          if c.is_cut then 0
-          else if overdue c then begin
-            cut c;
-            0
-          end
-          else begin
+          if readable c then begin
             let n = Chan.readv c.ep vm iovs in
-            if n > 0 then begin
-              c.last_read_ns <- now c.g;
-              (match c.heart with Some h -> Watchdog.beat h | None -> ())
-            end;
+            delivered c n;
             n
-          end);
+          end
+          else 0);
     ep_writev = Some (fun vm iovs -> Chan.writev c.ep vm iovs);
   }
 
 let accept_loop t l ~reject ~serve =
-  (* Reactor mode: the acceptor parks on the accept queue and a connect
-     burst wakes it once — the level-triggered wait then drains the whole
-     backlog without re-parking between connections. *)
+  (* The guard's reactor counts and audits the acceptor's waits and every
+     connection the listener mints from now on. *)
   (match t.reactor with Some r -> Chan.attach_listener r l | None -> ());
   let rec loop () =
     match Chan.accept l with
@@ -613,20 +544,15 @@ let accept_loop t l ~reject ~serve =
   loop ()
 
 (* Drain state machine: accepting -> draining (listener down, in-flight
-   finishing) -> forced (deadline or global stall: every remaining
-   connection aborted) -> drained.  Termination is guaranteed: once
-   forced, a second full stall window clears the connection list — the
-   workers have already been cut, their slots are forfeit. *)
+   finishing) -> forced (deadline timer or stall: every remaining
+   connection aborted) -> drained.  The drainer parks on the release
+   signal.  Termination is guaranteed by the scheduler's stall rule: a
+   stall forces, and a second stall after forcing forfeits the slots —
+   the workers have already been cut. *)
 let drain ?deadline_ns t l =
   t.draining <- true;
   Trace.span_begin t.trace ~name:"guard.drain" ~pid:guard_pid;
   Chan.shutdown l;
-  let deadline =
-    match (deadline_ns, t.clock) with
-    | Some d, Some clk -> Some (Clock.now clk + d)
-    | Some _, None -> invalid_arg "Guard.drain: deadline needs a clock"
-    | None, _ -> None
-  in
   let forced = ref false in
   let force () =
     if not !forced then begin
@@ -650,25 +576,14 @@ let drain ?deadline_ns t l =
     t.conns <- [];
     t.active_n <- 0
   in
-  let rec loop last spins =
-    if t.conns <> [] then begin
-      (match (deadline, t.clock) with
-      | Some d, Some clk when Clock.now clk >= d -> force ()
-      | _ -> ());
-      if Fiber.stamp () = last && spins > drain_spins then
-        if !forced then forfeit ()
-        else begin
-          force ();
-          loop last 0
-        end
-      else begin
-        Fiber.yield ();
-        let s = Fiber.stamp () in
-        if s = last then loop last (spins + 1) else loop s 0
-      end
-    end
-  in
-  loop (Fiber.stamp ()) 0;
+  (match (deadline_ns, t.reactor) with
+  | Some d, Some r ->
+      ignore (Reactor.after r ~ns:d (fun () -> if t.conns <> [] then force ()))
+  | Some _, None -> invalid_arg "Guard.drain: a deadline needs a reactor"
+  | None, _ -> ());
+  Reactor.wait t.released ~what:"guard drain"
+    ~ready:(fun () -> t.conns = [])
+    ~on_stall:(fun () -> if !forced then forfeit () else force ());
   Trace.span_end t.trace ~name:"guard.drain" ~pid:guard_pid
 
 let active t = t.active_n

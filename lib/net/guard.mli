@@ -3,9 +3,9 @@
 
     A guard caps concurrent connections (overflow is rejected with a
     protocol-specific answer and closed), enforces header and idle
-    deadlines on the simulated clock (slow-loris defense), and drains:
-    stop accepting, finish in-flight connections under a deadline, then
-    force-close stragglers.
+    deadlines as timers on its reactor's clock (slow-loris defense), and
+    drains: stop accepting, finish in-flight connections under a
+    deadline, then force-close stragglers.
 
     Deadline cuts use {!Chan.abort}, so the worker compartment sees EOF
     on read and a {e contained} fault on write — the listener survives.
@@ -65,7 +65,6 @@ type stats = {
 }
 
 val create :
-  ?clock:Wedge_sim.Clock.t ->
   ?header_deadline_ns:int ->
   ?idle_deadline_ns:int ->
   ?breaker:breaker_config ->
@@ -77,23 +76,20 @@ val create :
   t
 (** [header_deadline_ns] bounds the time from admission to
     {!established} (e.g. handshake + first request line);
-    [idle_deadline_ns] bounds the gap between reads thereafter.  Both —
-    and [breaker] — need [clock].  [trace] records admission decisions
+    [idle_deadline_ns] bounds the gap between reads thereafter.  [trace]
+    records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"]), drain spans, and breaker transitions
     (["guard.breaker.open"/"half_open"/"close"/"shed"]).
 
-    [reactor] (which must share [clock]) switches the guard to
-    event-driven blocking: admitted connections are
-    {!Chan.attach_reactor}ed so their readers park instead of
-    spin-polling, deadlines become timer-wheel entries (fire-and-re-check
-    — O(1) per read, no per-read cancellation), {!accept_loop} parks on
-    the accept queue and drains connect bursts in one wake, and the
-    watchdog (when also present) is swept from the reactor's timer tick
-    instead of worker poll loops.  Without it every historical spin/poll
-    path is preserved byte-for-byte.
-    @raise Invalid_argument on a deadline, breaker or reactor without a
-    clock, a reactor on a different clock, or [max_conns <= 0]. *)
+    [reactor] is the guard's clock and timer wheel: deadlines are timers
+    on it (fire-and-re-check — O(1) per read, no per-read cancellation),
+    the breaker ages on its clock, and admitted connections and the
+    {!accept_loop} listener are attached to it, so it counts and audits
+    their waits.  Both deadlines and [breaker] need it.  [watchdog] is
+    swept by its own reactor (see {!Watchdog.create}).
+    @raise Invalid_argument on a deadline or breaker without a reactor,
+    or [max_conns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
 (** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
@@ -140,13 +136,12 @@ val cut : conn -> unit
 
 val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
-    poll instead of block, returning EOF once the connection is overdue
-    or the whole system stalls waiting on a silent client — always
-    before the fiber scheduler's deadlock detector fires.  Under a
-    reactor-driven guard, reads park instead of polling, the endpoint's
-    [ep_wait] parks {e before} the syscall trap (an idle connection
-    charges zero syscall fuel), and the vectored [ep_readv]/[ep_writev]
-    paths carry the same deadline/heartbeat bookkeeping as reads. *)
+    park for data, and return EOF once the connection is overdue or cut
+    (a deadline timer aborts the channel, which wakes the park).  The
+    endpoint's [ep_wait] parks {e before} the syscall trap (an idle
+    connection charges zero syscall fuel), and the vectored
+    [ep_readv]/[ep_writev] paths carry the same deadline/heartbeat
+    bookkeeping as reads. *)
 
 val accept_loop :
   t ->
@@ -160,9 +155,12 @@ val accept_loop :
 
 val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
 (** Stop accepting (shuts the listener down, resetting queued
-    connections), wait for in-flight connections to release, and
+    connections), park until in-flight connections release, and
     force-abort the remainder when [deadline_ns] of simulated time
-    passes or the system stalls.  Guaranteed to terminate. *)
+    passes (a timer on the guard's reactor) or the world stalls.  A
+    second stall after forcing forfeits the stragglers' slots, so the
+    drain always terminates.
+    @raise Invalid_argument on [deadline_ns] without a reactor. *)
 
 val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at

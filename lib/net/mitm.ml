@@ -28,8 +28,13 @@ let create ?(handler = fun _ _ -> Forward) () =
     running = false;
   }
 
+exception Idle
+
+(* Relay until EOF.  When the whole world stalls with this pump parked —
+   neither end will ever speak again — the relay retires quietly. *)
 let pump t dir src dst log =
   let rec loop () =
+    Chan.wait_rx ~on_stall:(fun () -> raise Idle) src;
     let chunk = Chan.read src 4096 in
     if Bytes.length chunk = 0 then Chan.close dst
     else begin
@@ -41,7 +46,7 @@ let pump t dir src dst log =
       loop ()
     end
   in
-  (try loop () with Fiber.Deadlock _ -> ())
+  try loop () with Idle -> ()
 
 let splice t ~client_side ~server_side =
   t.client_side <- Some client_side;

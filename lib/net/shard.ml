@@ -389,7 +389,7 @@ type front = {
   f_guards : Guard.t array;
 }
 
-let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ?watchdogs ~max_conns t =
+let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ~max_conns t =
   let listeners =
     Array.map
       (fun s -> Chan.listener ~clock:s.kernel.Kernel.clock ?costs ?faults ?backlog ())
@@ -397,12 +397,7 @@ let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ?watchdogs ~max_c
   in
   let guards =
     Array.map
-      (fun s ->
-        let watchdog =
-          match watchdogs with Some ws -> Some ws.(s.sid) | None -> None
-        in
-        Guard.create ~clock:s.kernel.Kernel.clock ?header_deadline_ns ?breaker
-          ?watchdog ~reactor:s.reactor ~max_conns ())
+      (fun s -> Guard.create ?header_deadline_ns ?breaker ~reactor:s.reactor ~max_conns ())
       t.shards
   in
   { f_fab = t; f_listeners = listeners; f_guards = guards }

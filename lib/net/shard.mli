@@ -121,14 +121,11 @@ val front :
   ?backlog:int ->
   ?header_deadline_ns:int ->
   ?breaker:Guard.breaker_config ->
-  ?watchdogs:Watchdog.t array ->
   max_conns:int ->
   t ->
   front
-(** Per-shard listener + event-driven {!Guard} (reactor mode on the
-    shard's reactor and clock); [max_conns] is per shard.  [costs] and
-    [faults] apply to the listeners' channels; [watchdogs] supplies one
-    per shard (index = shard id). *)
+(** Per-shard listener + {!Guard} on the shard's reactor; [max_conns] is
+    per shard.  [costs] and [faults] apply to the listeners' channels. *)
 
 val front_fabric : front -> t
 val front_listener : front -> int -> Chan.listener

@@ -4,13 +4,13 @@
    A crash is contained by the engine the instant it happens; a *hang*
    (stalled fiber, silent channel peer, livelocked callgate) is invisible
    until something notices the missing heartbeat.  Each watched unit of
-   work arms a [heart]; progress beats it; [sweep] — typically composed
-   into the fiber scheduler's [on_switch] hook — cuts any heart whose
-   last beat is older than its deadline: the watched endpoints are
-   aborted ([Chan.abort]: reads become EOF, writes a contained fault) and
-   the armed fiber is cancelled ([Fiber.cancel]), so the hung compartment
-   dies as a contained [Fiber.Cancelled] fault the supervisor above can
-   restart.  [Hang] (raised by a beat arriving after the cut) is
+   work arms a [heart]; progress beats it; [sweep] — run by the
+   watchdog's reactor at every timer tick, i.e. whenever simulated time
+   moves — cuts any heart whose last beat is older than its deadline:
+   the watched endpoints are aborted ([Chan.abort]: reads become EOF,
+   writes a contained fault) and the armed fiber is cancelled
+   ([Fiber.cancel]), so the hung compartment dies as a contained
+   [Fiber.Cancelled] fault the supervisor above can restart.  [Hang] (raised by a beat arriving after the cut) is
    registered as a contained engine fault class at link time, like
    [Chan.Refused]. *)
 
@@ -18,6 +18,7 @@ module Clock = Wedge_sim.Clock
 module Fiber = Wedge_sim.Fiber
 module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
+module Reactor = Wedge_sim.Reactor
 
 exception Hang of string
 
@@ -48,10 +49,6 @@ and heart = {
 (* Watchdog events carry pid 0, like the guard's: detection happens in
    the scheduler/monitor, outside any compartment. *)
 let watchdog_pid = 0
-
-let create ?(trace = Trace.null) ~deadline_ns clock =
-  if deadline_ns <= 0 then invalid_arg "Watchdog.create: deadline_ns <= 0";
-  { clock; deadline_ns; trace; hearts = []; cuts = 0; beats = 0 }
 
 let arm ?name:(h_name = "compartment") ?deadline_ns w =
   let h =
@@ -107,18 +104,23 @@ let cut h =
 
 let sweep w = List.iter (fun h -> if overdue h then cut h) w.hearts
 
-(* Composable scheduler hook: sweep at every context switch, so a heart
-   is cut at the first switch after its deadline passes — no hung
-   compartment outlives its deadline by more than one scheduling step. *)
-let hook w () = sweep w
+(* The one place a watchdog is swept: its reactor's timer tick.  A heart
+   can only become overdue when the clock moves, and the tick runs at the
+   first scheduling step after every move — so no hung compartment
+   outlives its deadline by more than one step. *)
+let create ?(trace = Trace.null) ~deadline_ns r =
+  if deadline_ns <= 0 then invalid_arg "Watchdog.create: deadline_ns <= 0";
+  let w = { clock = Reactor.clock r; deadline_ns; trace; hearts = []; cuts = 0; beats = 0 } in
+  Reactor.on_tick r (fun () -> sweep w);
+  w
 
 let cuts w = w.cuts
 let beats w = w.beats
 let armed w = List.length (List.filter (fun h -> h.h_state = `Alive) w.hearts)
 
 (* Invariant for the oracle: after a sweep, no live heart may be overdue.
-   Run the sweep first (the oracle hook composes [hook w] before its
-   checks), and this holds at every context switch. *)
+   Run the reactor hook before the oracle's checks, and this holds at
+   every context switch. *)
 let self_check ?(slack_ns = 0) w =
   let now = Clock.now w.clock in
   match

@@ -4,8 +4,8 @@
     A crash is contained the instant it happens; a {e hang} (stalled
     fiber, silent peer, livelocked callgate) is invisible until a missing
     heartbeat betrays it.  Work units {!arm} a {!heart}; progress
-    {!beat}s it; {!sweep} — composed into {!Wedge_sim.Fiber.run}'s
-    [on_switch] hook via {!hook} — cuts any heart whose last beat is
+    {!beat}s it; the watchdog's reactor sweeps at every timer tick
+    (whenever simulated time moves) and cuts any heart whose last beat is
     older than its deadline: watched endpoints are aborted
     ({!Chan.abort}) and the armed fiber cancelled
     ({!Wedge_sim.Fiber.cancel}), so the hung compartment dies as a
@@ -20,9 +20,12 @@ exception Hang of string
     up after teardown and must die contained (registered as an engine
     fault class at link time, like [Chan.Refused]). *)
 
-val create : ?trace:Wedge_sim.Trace.t -> deadline_ns:int -> Wedge_sim.Clock.t -> t
-(** [deadline_ns] is the default heart deadline; cuts are traced as
-    ["watchdog.cut"] instants.
+val create : ?trace:Wedge_sim.Trace.t -> deadline_ns:int -> Wedge_sim.Reactor.t -> t
+(** A watchdog on the reactor's clock, swept from the reactor's timer
+    tick ({!Wedge_sim.Reactor.on_tick}) — its only sweeper.  Wire the
+    reactor's hook into [Fiber.run ~on_switch].  [deadline_ns] is the
+    default heart deadline; cuts are traced as ["watchdog.cut"]
+    instants.
     @raise Invalid_argument when [deadline_ns <= 0]. *)
 
 val arm : ?name:string -> ?deadline_ns:int -> t -> heart
@@ -48,11 +51,8 @@ val cut : heart -> unit
     armed fiber, count it. *)
 
 val sweep : t -> unit
-(** Cut every overdue heart. *)
-
-val hook : t -> unit -> unit
-(** [hook t] is [sweep] shaped for [Fiber.run ~on_switch] — compose it
-    before invariant checks so {!self_check} holds at every switch. *)
+(** Cut every overdue heart now, without waiting for the reactor's next
+    tick. *)
 
 val cuts : t -> int
 val beats : t -> int
@@ -62,8 +62,8 @@ val armed : t -> int
 val self_check : ?slack_ns:int -> t -> string option
 (** Oracle invariant: [Some description] when a live heart is overdue by
     more than [slack_ns] (default 0) beyond its deadline without having
-    been cut — i.e. the sweep failed to act.  Run after {!sweep} in the
-    same hook. *)
+    been cut — i.e. the sweep failed to act.  Run after the reactor's
+    hook in the same [on_switch]. *)
 
 val register_metrics : ?name:string -> Wedge_sim.Metrics.t -> t -> unit
 (** Counters ["watchdog.cuts"]/["watchdog.beats"] and gauge

@@ -6,12 +6,13 @@ module Rng = Wedge_fault.Rng
 type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Spawn : (unit -> unit) -> unit Effect.t
 
-type _ Effect.t += Park : string -> unit Effect.t
+type _ Effect.t += Park : bool -> unit Effect.t
 (* Like [Yield], but the continuation is NOT re-enqueued: the fiber goes
    into the parked table and runs again only when [unpark] moves it back
-   to the run queue.  The readiness reactor is built on this — a blocked
-   fiber costs the scheduler nothing until the event it waits for
-   actually happens, instead of spin-polling through every rotation. *)
+   to the run queue.  Every blocking wait in the stack is built on this —
+   a blocked fiber costs the scheduler nothing until the event it waits
+   for actually happens.  The flag says whether the fiber declared a
+   stall action (see [resolve_stall]). *)
 
 exception Deadlock of string
 
@@ -84,6 +85,10 @@ type sched = {
   parked : (int, unit -> unit) Hashtbl.t;
       (* fiber id -> resume thunk; parked fibers are OFF the run queue
          entirely — [unpark] is the only way back *)
+  stallable : (int, unit) Hashtbl.t;  (* parked fibers with a stall action *)
+  stalled : (int, unit) Hashtbl.t;
+      (* fibers unparked by [resolve_stall], whose stall action runs at
+         resume *)
   cancelled : (int, string) Hashtbl.t;  (* fiber id -> cancel reason *)
   faults : Fault_plan.t option;
   clock : Clock.t option;  (* charged by induced stalls (site "fiber.stall") *)
@@ -161,46 +166,6 @@ let deadlock_message s what =
   in
   Printf.sprintf "%s (blocked: %s)" what (String.concat ", " entries)
 
-let wait_until ?(what = "condition") cond =
-  match !current with
-  | None ->
-      if not (cond ()) then
-        raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
-  | Some s ->
-      if not (cond ()) then begin
-        let id = s.cur in
-        Hashtbl.replace s.blocked id what;
-        let finish () = Hashtbl.remove s.blocked id in
-        let rec loop last_stamp spins =
-          if not (cond ()) then begin
-            check_cancel s;
-            (* If we have spun through the run queue many times with no
-               global progress, every other fiber is blocked too — but a
-               blocked world with an armed reactor timer is asleep, not
-               dead.  The queue never empties while this fiber spins, so
-               the scheduler's own idle path can't run: consult [on_idle]
-               here and only declare deadlock once it can't advance
-               simulated time either. *)
-            if s.stamp = last_stamp && spins > 10_000 then begin
-              let idled = match s.on_idle with Some f -> f () | None -> false in
-              if not idled then begin
-                let msg = deadlock_message s what in
-                finish ();
-                raise (Deadlock msg)
-              end
-            end;
-            perform Yield;
-            if s.stamp = last_stamp then loop last_stamp (spins + 1)
-            else loop s.stamp 0
-          end
-        in
-        (match loop s.stamp 0 with
-        | () -> finish ()
-        | exception e ->
-            finish ();
-            raise e)
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Pool scheduling (Random / Pct / Replay)                             *)
 
@@ -241,25 +206,82 @@ let parked_ids () =
   | Some s ->
       Hashtbl.fold (fun id _ acc -> id :: acc) s.parked [] |> List.sort compare
 
-(* Move a parked fiber back to the run queue.  Waking someone is global
-   progress — a drain loop or deadlock detector spinning elsewhere must
-   see the wake as forward motion. *)
-let unpark id =
-  match !current with
+let unpark_in s id =
+  match Hashtbl.find_opt s.parked id with
   | None -> ()
-  | Some s -> (
-      match Hashtbl.find_opt s.parked id with
-      | None -> ()
-      | Some thunk ->
-          Hashtbl.remove s.parked id;
-          s.stamp <- s.stamp + 1;
-          enqueue s ~id thunk)
+  | Some thunk ->
+      Hashtbl.remove s.parked id;
+      Hashtbl.remove s.stallable id;
+      s.stamp <- s.stamp + 1;
+      enqueue s ~id thunk
+
+(* Move a parked fiber back to the run queue.  Waking someone is global
+   progress — a join spinning in [wait_until] must see the wake as
+   forward motion. *)
+let unpark id = match !current with None -> () | Some s -> unpark_in s id
+
+(* The stall rule.  Nothing can run and no timer can fire: every parked
+   fiber that declared a stall action is unparked, in fiber-id order,
+   and runs its action at resume — a bounded writer whose peer never
+   reads tears its direction down and raises a contained error, a drain
+   forces its stragglers.  [false] when nobody declared one: the world
+   is truly deadlocked.  The scheduler's idle path and [wait_until]'s
+   no-progress branch both end here before raising [Deadlock]. *)
+let resolve_stall s =
+  let ids = Hashtbl.fold (fun id () acc -> id :: acc) s.stallable [] |> List.sort compare in
+  List.iter
+    (fun id ->
+      Hashtbl.replace s.stalled id ();
+      unpark_in s id)
+    ids;
+  ids <> []
+
+let wait_until ?(what = "condition") cond =
+  match !current with
+  | None ->
+      if not (cond ()) then
+        raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
+  | Some s ->
+      if not (cond ()) then begin
+        let id = s.cur in
+        Hashtbl.replace s.blocked id what;
+        let finish () = Hashtbl.remove s.blocked id in
+        let rec loop last_stamp spins =
+          if not (cond ()) then begin
+            check_cancel s;
+            (* If we have spun through the run queue many times with no
+               global progress, every other fiber is blocked too — but a
+               blocked world with an armed reactor timer is asleep, not
+               dead.  The queue never empties while this fiber spins, so
+               the scheduler's own idle path can't run: consult [on_idle]
+               and the stall rule here, and only declare deadlock once
+               neither can move the world. *)
+            if s.stamp = last_stamp && spins > 10_000 then begin
+              let idled = match s.on_idle with Some f -> f () | None -> false in
+              if not (idled || resolve_stall s) then begin
+                let msg = deadlock_message s what in
+                finish ();
+                raise (Deadlock msg)
+              end
+            end;
+            perform Yield;
+            if s.stamp = last_stamp then loop last_stamp (spins + 1)
+            else loop s.stamp 0
+          end
+        in
+        (match loop s.stamp 0 with
+        | () -> finish ()
+        | exception e ->
+            finish ();
+            raise e)
+      end
 
 (* Park the calling fiber until [unpark].  Cancellation is delivered at
    both edges: a pending mark raises before the fiber ever leaves the
    queue, and a mark set while parked (the watchdog cutting a hung
-   worker — [cancel] unparks its victim) raises at resume. *)
-let park ~what =
+   worker — [cancel] unparks its victim) raises at resume.  [on_stall]
+   runs at resume when the stall rule, not a wake, unparked the fiber. *)
+let park ?on_stall ~what () =
   match !current with
   | None -> raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
   | Some s ->
@@ -267,12 +289,17 @@ let park ~what =
       let id = s.cur in
       Hashtbl.replace s.blocked id what;
       let finish () = Hashtbl.remove s.blocked id in
-      (match perform (Park what) with
+      (match perform (Park (on_stall <> None)) with
       | () -> finish ()
       | exception e ->
           finish ();
           raise e);
-      check_cancel s
+      match on_stall with
+      | Some f when Hashtbl.mem s.stalled id ->
+          Hashtbl.remove s.stalled id;
+          check_cancel s;
+          f ()
+      | _ -> check_cancel s
 
 let cancel ?(reason = "cancelled") id =
   match !current with
@@ -295,8 +322,8 @@ let pct_demote s id =
   Hashtbl.replace s.prio id s.demote_next;
   s.demote_next <- s.demote_next - 1
 
-(* Strict priority alone livelocks against the stack's spin-yield blocking
-   idiom: a top-priority fiber sitting in [wait_until] would be picked
+(* Strict priority alone livelocks against [wait_until]'s polling join: a
+   top-priority fiber sitting in [wait_until] would be picked
    forever while the fiber able to unblock it never runs, and after 10_000
    fruitless spins the detector above would report a deadlock that is
    really a scheduling artifact.  Demoting a fiber that has been picked
@@ -381,6 +408,8 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       next_id = 1;
       blocked = Hashtbl.create 8;
       parked = Hashtbl.create 8;
+      stallable = Hashtbl.create 8;
+      stalled = Hashtbl.create 8;
       cancelled = Hashtbl.create 8;
       faults;
       clock;
@@ -418,10 +447,11 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
                         s.cur <- id;
                         exec g);
                     continue k ())
-            | Park _ ->
+            | Park stall ->
                 Some
                   (fun (k : (a, unit) continuation) ->
                     let id = s.cur in
+                    if stall then Hashtbl.replace s.stallable id ();
                     Hashtbl.replace s.parked id (fun () ->
                         s.cur <- id;
                         continue k ()))
@@ -445,15 +475,16 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
      chance to fire due timers ([on_switch] — e.g. a just-signaled wake
      that raced the queue emptying), then [on_idle] may advance the
      simulated clock to the next armed timer and fire it (how a deadline
-     cut reaches a system where every fiber is parked on I/O).  If
-     neither wakes anyone, the parked fibers can never run again. *)
+     cut reaches a system where every fiber is parked on I/O), then the
+     stall rule resolves the waiters that declared a stall action.  If
+     none of them wakes anyone, the parked fibers can never run again. *)
   let idle () =
     (match s.on_switch with Some f -> f () | None -> ());
     if runnable () = 0 then begin
       let progressed =
         match s.on_idle with Some f -> f () | None -> false
       in
-      if runnable () = 0 && not progressed then
+      if runnable () = 0 && not (progressed || resolve_stall s) then
         raise (Deadlock (deadlock_message s "parked fibers, nothing runnable"))
     end
   in

@@ -1,18 +1,20 @@
 (** Cooperative fibers (effects-based) for driving client/server/attacker
     interactions over simulated channels.
 
-    The simulated network ({!Wedge_net.Chan}) blocks a fiber when it reads
-    from an empty channel; the scheduler round-robins runnable fibers until
-    everything has finished.  Compartment code itself runs to completion
-    inside whichever fiber spawned it — blocking on I/O inside an sthread
-    suspends the whole caller chain, which matches the paper's semantics
-    (the parent blocks on [sthread_join], a callgate's caller blocks until
-    the callgate terminates). *)
+    The simulated network ({!Wedge_net.Chan}) {!park}s a fiber when it
+    reads from an empty channel; the scheduler round-robins runnable
+    fibers until everything has finished.  Compartment code itself runs
+    to completion inside whichever fiber spawned it — blocking on I/O
+    inside an sthread suspends the whole caller chain, which matches the
+    paper's semantics (the parent blocks on [sthread_join], a callgate's
+    caller blocks until the callgate terminates). *)
 
 exception Deadlock of string
 (** Raised by {!run} when every live fiber is blocked and no progress is
-    possible.  The message names the awaited condition plus every blocked
-    fiber and what it is waiting for, e.g.
+    possible: nothing is runnable, no timer can fire ([on_idle]) and no
+    parked fiber declared a stall action (see {!park}).  The message
+    names the awaited condition plus every blocked fiber and what it is
+    waiting for, e.g.
     ["channel data (blocked: fiber 0 awaiting channel data, fiber 2
     awaiting incoming connection)"]. *)
 
@@ -41,7 +43,7 @@ type policy =
               demoted below everyone else (the PCT change point).  An
               anti-starvation rule additionally demotes a fiber picked 64
               consecutive times without global progress, so strict
-              priority cannot livelock against spin-yield blocking. *)
+              priority cannot livelock against a {!wait_until} join. *)
     }
   | Replay of int array
       (** replay recorded pool indices; exhausted or out-of-range entries
@@ -69,11 +71,12 @@ val run :
     ["fiber.yield"].  [on_idle] runs when nothing is
     runnable but fibers are {!park}ed: it should advance the simulated
     world (fire the next reactor timer) and return [true], or return
-    [false] to concede — upon which the run dies with {!Deadlock} naming
-    the parked fibers.  [on_switch] runs before every scheduling step — the
-    hook invariant oracles use to check kernel state at each context
-    switch.  It must not yield or spawn; an exception it raises aborts the
-    run (and propagates).
+    [false] to concede.  The stall rule then resolves every parked fiber
+    that declared an [on_stall] action; only when there is none does the
+    run die with {!Deadlock} naming the parked fibers.  [on_switch] runs
+    before every scheduling step — the hook invariant oracles use to
+    check kernel state at each context switch.  It must not yield or
+    spawn; an exception it raises aborts the run (and propagates).
     @raise Deadlock if fibers block forever. *)
 
 val last_decisions : unit -> int array
@@ -91,31 +94,35 @@ val yield : unit -> unit
     yield unconditionally). *)
 
 val wait_until : ?what:string -> (unit -> bool) -> unit
-(** [wait_until cond] yields until [cond ()] is true.
-    @raise Deadlock if the whole system stops making progress first;
-    [what] names the awaited condition in the exception message. *)
+(** [wait_until cond] yields until [cond ()] is true — a join primitive
+    for drivers and tests, not an I/O wait (those {!park}).  After 10,000
+    yields without global progress it consults [on_idle] and then the
+    stall rule, exactly like the scheduler's idle path.
+    @raise Deadlock if neither can move the world; [what] names the
+    awaited condition in the exception message. *)
 
 val progress : unit -> unit
 (** Record that global progress happened (e.g. bytes were delivered);
     resets the deadlock detector. *)
 
 val stamp : unit -> int
-(** The scheduler's progress counter (0 outside {!run}).  Custom wait
-    loops compare stamps across yields to detect a globally stalled
-    system and bail out {e before} the {!Deadlock} detector fires —
-    how bounded channel writes and guarded reads turn a wedged peer
-    into a contained error instead of a scheduler crash. *)
+(** The scheduler's progress counter (0 outside {!run}), bumped by
+    {!progress} and every {!unpark}. *)
 
-val in_scheduler : unit -> bool
-(** True when called from inside {!run}. *)
+val park : ?on_stall:(unit -> unit) -> what:string -> unit -> unit
+(** Take the calling fiber off the run queue until {!unpark}.  A parked
+    fiber costs the scheduler {e nothing} per rotation — the one blocking
+    primitive every I/O wait ({!Reactor.wait}) is built on.  A pending
+    cancellation raises {!Cancelled} instead of parking; one set while
+    parked ({!cancel} unparks its victim) raises at resume.
 
-val park : what:string -> unit
-(** Take the calling fiber off the run queue until {!unpark}.  Unlike
-    {!wait_until}'s spin-yield idiom, a parked fiber costs the scheduler
-    {e nothing} per rotation — the primitive the readiness reactor
-    ({!Reactor}) is built on.  A pending cancellation raises
-    {!Cancelled} instead of parking; one set while parked ({!cancel}
-    unparks its victim) raises at resume.  Must be called inside {!run}.
+    [on_stall] declares what this wait does when the whole world stalls
+    (nothing runnable, no timer can fire): the stall rule unparks every
+    such fiber in fiber-id order and runs its action at resume, in the
+    fiber — it may raise (a bounded writer's contained
+    [Resource_exhausted]) or return (the caller re-checks its
+    condition).  Library code sets it; a wait without one can only end
+    in {!Deadlock}.  Must be called inside {!run}.
     @raise Deadlock when no scheduler is running. *)
 
 val unpark : int -> unit

@@ -1,15 +1,18 @@
-(* Readiness reactor: the epoll-style core of the event-driven serve
-   path.
+(* Readiness reactor: the epoll-style core of every blocking wait.
 
-   Blocked fibers stop spin-polling ([Fiber.wait_until] burns one
-   scheduler step per blocked fiber per rotation — O(connections) per
-   delivered byte at 10k idle connections) and instead register a waiter
-   on a [handle] and [Fiber.park].  The producer side calls [signal] at
-   the moment the state changes (bytes pushed, space drained, direction
-   closed, connection queued) and every waiter of that handle wakes in
-   one batch.  Waits are level-triggered: a woken waiter re-checks its
-   [ready] closure and re-parks on a spurious wake, so a signal can
-   never be lost to a race and never needs to be precise.
+   A blocked fiber never polls: it registers a waiter on a [handle] and
+   [Fiber.park]s.  The producer side calls [signal] at the moment the
+   state changes (bytes pushed, space drained, direction closed,
+   connection queued, slot released) and every waiter of that handle
+   wakes in one batch.  Waits are level-triggered: a woken waiter
+   re-checks its [ready] closure and re-parks on a spurious wake, so a
+   signal can never be lost to a race and never needs to be precise.
+
+   A handle works from creation ([unbound]); [bind] only decides which
+   reactor counts its parks and wakes and audits its interest set.  Waits
+   on an unbound handle are neither counted nor audited — except that the
+   audit must not mistake such a parked fiber for a leaked
+   registration.
 
    Deadlines live on a timer wheel keyed by the simulated clock:
    [tick] — wired into the scheduler as its [on_switch] hook — fires
@@ -29,9 +32,9 @@ type waiter = {
 }
 
 type handle = {
-  h_id : int;
+  mutable h_id : int;  (* key in the bound reactor's [waiting] table *)
   h_name : string;
-  h_r : t;
+  mutable h_r : t option;  (* the reactor that counts and audits *)
   mutable h_dead : bool;
   mutable h_waiters : waiter list;  (* registration order, newest first *)
 }
@@ -83,16 +86,38 @@ let clock r = r.r_clock
    loop, not to any compartment. *)
 let reactor_pid = 0
 
+(* Fibers parked on unbound handles, for the audit's
+   parked-without-registration check (fiber id -> handle). *)
+let unbound_waiters : (int, handle) Hashtbl.t = Hashtbl.create 16
+
+let unbound ~name =
+  { h_id = -1; h_name = name; h_r = None; h_dead = false; h_waiters = [] }
+
+(* Idempotent: a handle stays with the first reactor it was bound to.
+   Waiters already parked join its interest set, so the audit sees them. *)
+let bind r h =
+  if Option.is_none h.h_r then begin
+    h.h_id <- r.next_handle;
+    r.next_handle <- r.next_handle + 1;
+    h.h_r <- Some r;
+    if h.h_waiters <> [] then begin
+      Hashtbl.replace r.waiting h.h_id h;
+      List.iter (fun w -> Hashtbl.remove unbound_waiters w.w_fiber) h.h_waiters
+    end
+  end
+
 let handle r ~name =
-  let id = r.next_handle in
-  r.next_handle <- id + 1;
-  { h_id = id; h_name = name; h_r = r; h_dead = false; h_waiters = [] }
+  let h = unbound ~name in
+  bind r h;
+  h
 
 let handle_name h = h.h_name
 
 let remove_waiter h w =
   h.h_waiters <- List.filter (fun x -> x != w) h.h_waiters;
-  if h.h_waiters = [] then Hashtbl.remove h.h_r.waiting h.h_id
+  match h.h_r with
+  | Some r -> if h.h_waiters = [] then Hashtbl.remove r.waiting h.h_id
+  | None -> Hashtbl.remove unbound_waiters w.w_fiber
 
 (* One wake batch: every waiter of the handle back on the run queue, in
    fiber-id order so the wake order is a pure function of who waited,
@@ -101,19 +126,18 @@ let signal h =
   match h.h_waiters with
   | [] -> ()
   | ws ->
-      let r = h.h_r in
-      r.c_signals <- r.c_signals + 1;
       h.h_waiters <- [];
-      Hashtbl.remove r.waiting h.h_id;
-      if Trace.enabled r.r_trace then
-        Trace.count r.r_trace ~name:"reactor.wake" ~pid:reactor_pid
-          ~value:(List.length ws);
       let ws = List.sort (fun a b -> compare a.w_fiber b.w_fiber) ws in
-      List.iter
-        (fun w ->
-          r.c_wakeups <- r.c_wakeups + 1;
-          Fiber.unpark w.w_fiber)
-        ws
+      (match h.h_r with
+      | None -> List.iter (fun w -> Hashtbl.remove unbound_waiters w.w_fiber) ws
+      | Some r ->
+          r.c_signals <- r.c_signals + 1;
+          r.c_wakeups <- r.c_wakeups + List.length ws;
+          Hashtbl.remove r.waiting h.h_id;
+          if Trace.enabled r.r_trace then
+            Trace.count r.r_trace ~name:"reactor.wake" ~pid:reactor_pid
+              ~value:(List.length ws));
+      List.iter (fun w -> Fiber.unpark w.w_fiber) ws
 
 let kill h =
   if not h.h_dead then begin
@@ -126,16 +150,28 @@ let is_dead h = h.h_dead
 (* Level-triggered wait: park until [ready], re-checking on every wake.
    A dead handle never blocks — the caller's own state (closed flag, EOF)
    carries the final answer.  A cancellation delivered while parked (the
-   watchdog cutting this fiber) must not leave a ghost registration
-   behind: the waiter entry is dropped on the exception path too. *)
-let wait h ~what ~ready =
-  let r = h.h_r in
+   watchdog cutting this fiber) or an exception from the stall action
+   must not leave a ghost registration behind: the waiter entry is
+   dropped before the action runs and on the exception path too. *)
+let wait ?on_stall h ~what ~ready =
   while not (h.h_dead || ready ()) do
     let w = { w_fiber = Fiber.fiber_id (); w_ready = ready } in
     h.h_waiters <- w :: h.h_waiters;
-    if not (Hashtbl.mem r.waiting h.h_id) then Hashtbl.replace r.waiting h.h_id h;
-    r.c_parks <- r.c_parks + 1;
-    (try Fiber.park ~what
+    (match h.h_r with
+    | Some r ->
+        if not (Hashtbl.mem r.waiting h.h_id) then Hashtbl.replace r.waiting h.h_id h;
+        r.c_parks <- r.c_parks + 1
+    | None -> Hashtbl.replace unbound_waiters w.w_fiber h);
+    let on_stall =
+      match on_stall with
+      | None -> None
+      | Some f ->
+          Some
+            (fun () ->
+              remove_waiter h w;
+              f ())
+    in
+    (try Fiber.park ?on_stall ~what ()
      with e ->
        remove_waiter h w;
        raise e);
@@ -341,9 +377,14 @@ let self_check_multi rs =
                 h.h_waiters)
             r.waiting)
         rs;
+      let waits_unbound id =
+        match Hashtbl.find_opt unbound_waiters id with
+        | Some h -> List.exists (fun w -> w.w_fiber = id) h.h_waiters
+        | None -> false
+      in
       List.iter
         (fun id ->
-          if not (Hashtbl.mem registered id) then
+          if not (Hashtbl.mem registered id || waits_unbound id) then
             report
               (Printf.sprintf
                  "reactor: fiber %d parked with no waiter registration" id))

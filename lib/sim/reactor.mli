@@ -1,15 +1,14 @@
 (** Readiness reactor: epoll-style batched wakeups plus a timer wheel on
     the simulated clock.
 
-    The spin-yield blocking idiom ({!Fiber.wait_until}) costs one
-    scheduler step per blocked fiber per rotation — O(connections) per
-    delivered byte once thousands of idle connections each hold a
-    spinning fiber.  A reactor-driven wait instead registers interest on
-    a {!handle} and {!Fiber.park}s; the producer {!signal}s the handle at
-    the moment state changes and every waiter wakes in one batch.  Waits
-    are {e level-triggered}: a woken waiter re-checks its readiness
-    closure and re-parks if the wake was spurious, so signals can be
-    coarse and can never be lost to a race.
+    Every blocking wait in the stack registers interest on a {!handle}
+    and {!Fiber.park}s — a blocked fiber costs the scheduler nothing per
+    rotation; the producer {!signal}s the handle at the moment state
+    changes and every waiter wakes in one batch.  Waits are
+    {e level-triggered}: a woken waiter re-checks its readiness closure
+    and re-parks if the wake was spurious, so signals can be coarse and
+    can never be lost to a race.  A handle works from creation
+    ({!unbound}); {!bind} decides which reactor counts and audits it.
 
     Deadlines are timers fired by {!tick} at scheduler sync points
     (wire {!hook} into {!Fiber.run}'s [on_switch]); when every fiber is
@@ -34,17 +33,31 @@ val create : ?trace:Trace.t -> clock:Clock.t -> unit -> t
 val clock : t -> Clock.t
 
 val handle : t -> name:string -> handle
-(** A fresh interest set; [name] appears in audit messages. *)
+(** A fresh interest set bound to this reactor; [name] appears in audit
+    messages. *)
+
+val unbound : name:string -> handle
+(** A fresh interest set no reactor counts or audits yet.  Waits and
+    signals work on it exactly as on a bound one. *)
+
+val bind : t -> handle -> unit
+(** Let this reactor count the handle's parks and wakes and audit its
+    waiters (those already parked included).  Idempotent: a handle stays
+    with the first reactor it was bound to. *)
 
 val handle_name : handle -> string
 
-val wait : handle -> what:string -> ready:(unit -> bool) -> unit
+val wait :
+  ?on_stall:(unit -> unit) -> handle -> what:string -> ready:(unit -> bool) -> unit
 (** Park the calling fiber until [ready ()] — re-checked after every
     wake, re-parking on spurious ones.  Returns immediately on a dead
     handle (the caller's own closed/EOF state carries the answer) or
     when [ready] already holds.  A cancellation delivered while parked
     ({!Fiber.Cancelled}) removes the registration before propagating —
-    no ghost waiters.  [what] names the condition in deadlock reports. *)
+    no ghost waiters.  [on_stall] is the {!Fiber.park} stall action: it
+    runs with the registration already removed, and the wait re-checks
+    [ready] if it returns.  [what] names the condition in deadlock
+    reports. *)
 
 val signal : handle -> unit
 (** Wake every waiter of this handle in one batch (fiber-id order).
@@ -106,8 +119,7 @@ val idle_multi : t list -> unit -> bool
 
 val on_tick : t -> (unit -> unit) -> unit
 (** Run [f] at every timer sweep (i.e. whenever simulated time moved) —
-    how the connection guard pumps its watchdog without any fiber
-    polling. *)
+    how a {!Wedge_net.Watchdog} is swept without any fiber polling. *)
 
 (** {2 Audit and observability} *)
 
@@ -127,8 +139,8 @@ val self_check : t -> string option
 (** Interest sets vs the scheduler's parked table, for the invariant
     oracle: no registered-and-parked waiter whose readiness already
     holds (lost wakeup), no waiters on dead handles (ghost registrations
-    after abort/cut), no parked fiber without a registration.  [None]
-    when consistent. *)
+    after abort/cut), no parked fiber without a registration (a wait on
+    an {!unbound} handle counts as one).  [None] when consistent. *)
 
 val self_check_multi : t list -> string option
 (** {!self_check} over several reactors at once (one per shard): the

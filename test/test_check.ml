@@ -260,24 +260,24 @@ let test_sweep_pct_policy () =
 
 (* ---------- The server x feature matrix ---------- *)
 
-(* Every scenario that existed before the matrix was generated from one
-   kit per server; the generated registry must still carry each name
+(* The registry is exactly the server x feature product plus the racy
+   control: 3 servers x 5 features.  Every storm cell parks on the
+   reactor, so there is no separate reactor-storm column any more
    ("explore catches and shrinks racy" keeps the control honest). *)
-let hand_written =
-  [
-    "pop3"; "httpd"; "sshd"; "httpd_storm"; "pop3_storm"; "sshd_storm";
-    "httpd_reactor_storm"; "httpd_pool_storm"; "pop3_pool_storm"; "sshd_pool_storm";
-    "httpd_sharded"; "pop3_sharded"; "sshd_sharded"; "httpd_synth"; "pop3_synth";
-    "sshd_synth"; "racy";
-  ]
+let servers = [ "pop3"; "httpd"; "sshd" ]
+let features = [ ""; "_storm"; "_pool_storm"; "_sharded"; "_synth" ]
 
-let matrix_only = [ "pop3_reactor_storm"; "sshd_reactor_storm" ]
+let storm_cells =
+  List.concat_map (fun f -> List.map (fun s -> s ^ f) servers) [ "_storm"; "_pool_storm" ]
 
 let test_registry_names () =
   let names = Scenarios.names () in
+  let cells = List.concat_map (fun f -> List.map (fun s -> s ^ f) servers) features in
+  check Alcotest.int "15 server cells" 15 (List.length cells);
   List.iter
     (fun n -> check Alcotest.bool ("registered: " ^ n) true (List.mem n names))
-    (hand_written @ matrix_only);
+    ("racy" :: cells);
+  check Alcotest.int "nothing else registered" (List.length cells + 1) (List.length names);
   check Alcotest.int "no duplicate names" (List.length names)
     (List.length (List.sort_uniq compare names));
   List.iter
@@ -296,9 +296,9 @@ let test_every_cell_clean () =
             Alcotest.failf "%s: %s" s.Scenarios.s_name (Explore.verdict_to_string v))
     Scenarios.all
 
-(* The new reactor cells really park their serve paths on the reactor
-   and heal: a summary without parks or with the breaker left open
-   would mean the cell silently fell back to spin-polling. *)
+(* Every storm cell, pooled or not, parks its serve path on the reactor
+   and heals: a summary without parks or with the breaker left open
+   would mean the cell blocked some other way. *)
 let test_reactor_cells_park () =
   List.iter
     (fun name ->
@@ -309,7 +309,7 @@ let test_reactor_cells_park () =
       check Alcotest.bool (name ^ " breaker closed") true (contains summary "breaker=closed");
       check Alcotest.bool (name ^ " parked") true
         (contains summary " reactor_parks=" && not (contains summary " reactor_parks=0 ")))
-    ("httpd_reactor_storm" :: matrix_only)
+    storm_cells
 
 (* ---------- Pinned regressions the oracles originally surfaced ---------- *)
 

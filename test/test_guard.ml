@@ -71,21 +71,31 @@ let test_backpressure_delivers_everything () =
 
 let test_backpressure_stall_is_contained () =
   (* A writer whose peer never reads must not wedge the scheduler: the
-     write raises a contained Resource_exhausted once the system stalls. *)
-  let outcome = ref `Silent in
-  Fiber.run (fun () ->
-      let a, _b = Chan.pair ~capacity:4 () in
-      match
-        for _ = 1 to 10 do
-          Chan.write_string a "xxxx"
-        done
-      with
-      | () -> outcome := `Unbounded
-      | exception Rlimit.Resource_exhausted msg -> outcome := `Stalled msg);
-  match !outcome with
-  | `Stalled msg -> check Alcotest.bool "names the channel" true (contains msg "chan.write")
-  | `Unbounded -> Alcotest.fail "capacity 4 accepted 40 bytes with no reader"
-  | `Silent -> Alcotest.fail "writer never resolved"
+     write raises a contained Resource_exhausted once the system stalls —
+     whether or not a reactor counts the channel's waits. *)
+  let stall ~attached =
+    let outcome = ref `Silent in
+    let r = Reactor.create ~clock:(Clock.create ()) () in
+    Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
+        let a, _b = Chan.pair ~capacity:4 () in
+        if attached then Chan.attach_reactor r a;
+        match
+          for _ = 1 to 10 do
+            Chan.write_string a "xxxx"
+          done
+        with
+        | () -> outcome := `Unbounded
+        | exception Rlimit.Resource_exhausted msg -> outcome := `Stalled msg);
+    match !outcome with
+    | `Stalled msg ->
+        check Alcotest.bool "names the channel" true (contains msg "chan.write");
+        check Alcotest.bool "counts the bytes in flight before teardown" true
+          (contains msg "4 bytes in flight")
+    | `Unbounded -> Alcotest.fail "capacity 4 accepted 40 bytes with no reader"
+    | `Silent -> Alcotest.fail "writer never resolved"
+  in
+  stall ~attached:false;
+  stall ~attached:true
 
 let test_backlog_refuses_then_recovers () =
   Fiber.run (fun () ->
@@ -232,12 +242,11 @@ let test_flood_replays_identically () =
 let test_slow_loris_cut_without_collateral () =
   let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard =
-    Guard.create ~clock:k.Kernel.clock ~header_deadline_ns:1_000 ~max_conns:4 ()
-  in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~header_deadline_ns:1_000 ~max_conns:4 () in
   let slow = Byzantine.tally () and good = Byzantine.tally () in
   let is_rejection s = contains s "-ERR busy" in
-  Fiber.run (fun () ->
+  Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn (fun () -> Pop3_wedge.serve_loop main guard l);
       Fiber.spawn (fun () ->
           Byzantine.slow_loris slow l ~clock:k.Kernel.clock ~step_ns:500
@@ -287,9 +296,10 @@ let test_http_oversized_request_gets_413 () =
 let test_drain_completes_in_flight () =
   let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~clock:k.Kernel.clock ~max_conns:4 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~max_conns:4 () in
   let finished = ref false in
-  Fiber.run (fun () ->
+  Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn (fun () -> Pop3_wedge.serve_loop main guard l);
       Fiber.spawn (fun () ->
           let ep = Chan.connect l in

@@ -26,7 +26,7 @@ let test_park_unpark () =
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
           Buffer.add_string log "a";
-          Fiber.park ~what:"test wake";
+          Fiber.park ~what:"test wake" ();
           Buffer.add_string log "c");
       Fiber.yield ();
       check Alcotest.int "one fiber parked" 1 (Fiber.parked_count ());
@@ -40,7 +40,7 @@ let test_park_unpark () =
 
 let test_parked_fiber_deadlock_names_it () =
   match
-    Fiber.run (fun () -> Fiber.spawn (fun () -> Fiber.park ~what:"never woken"))
+    Fiber.run (fun () -> Fiber.spawn (fun () -> Fiber.park ~what:"never woken" ()))
   with
   | () -> Alcotest.fail "expected deadlock"
   | exception Fiber.Deadlock msg ->
@@ -52,13 +52,39 @@ let test_cancel_unparks_victim () =
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
           try
-            Fiber.park ~what:"cancel target";
+            Fiber.park ~what:"cancel target" ();
             outcome := "resumed"
           with Fiber.Cancelled r -> outcome := "cancelled:" ^ r);
       Fiber.yield ();
       Fiber.cancel ~reason:"test cut" (List.hd (Fiber.parked_ids ())));
   check Alcotest.string "parked victim died of the cancellation"
     "cancelled:test cut" !outcome
+
+(* The stall rule: with nothing runnable and no timer to fire, every
+   parked fiber that declared a stall action runs it, lowest fiber id
+   first whatever order they parked in; a park without one still ends
+   the run in a deadlock naming it. *)
+let test_stall_rule_resolves_in_fiber_order () =
+  let log = Buffer.create 8 in
+  Fiber.run (fun () ->
+      List.iter
+        (fun (tag, yields) ->
+          Fiber.spawn (fun () ->
+              for _ = 1 to yields do
+                Fiber.yield ()
+              done;
+              Fiber.park ~what:tag ~on_stall:(fun () -> Buffer.add_string log tag) ()))
+        [ ("a", 2); ("b", 0); ("c", 1) ]);
+  check Alcotest.string "actions ran in fiber-id order" "abc" (Buffer.contents log);
+  match
+    Fiber.run (fun () ->
+        Fiber.spawn (fun () -> Fiber.park ~what:"resolvable" ~on_stall:ignore ());
+        Fiber.spawn (fun () -> Fiber.park ~what:"no stall action" ()))
+  with
+  | () -> Alcotest.fail "expected deadlock"
+  | exception Fiber.Deadlock msg ->
+      check Alcotest.bool "names the wait without an action" true
+        (contains msg "no stall action")
 
 (* ---------- interest sets ---------- *)
 
@@ -327,6 +353,8 @@ let () =
           Alcotest.test_case "deadlock names parked fiber" `Quick
             test_parked_fiber_deadlock_names_it;
           Alcotest.test_case "cancel unparks victim" `Quick test_cancel_unparks_victim;
+          Alcotest.test_case "stall rule resolves in fiber order" `Quick
+            test_stall_rule_resolves_in_fiber_order;
         ] );
       ( "interest sets",
         [

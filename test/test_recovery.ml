@@ -14,6 +14,7 @@ module Stats = Wedge_sim.Stats
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Watchdog = Wedge_net.Watchdog
+module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
@@ -181,7 +182,7 @@ let test_fiber_cancel_delivered_once () =
 
 let test_watchdog_cuts_hung_heart () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let w = Watchdog.create ~deadline_ns:1_000 (Reactor.create ~clock ()) in
   let cancelled = ref false in
   Fiber.run ~clock (fun () ->
       Fiber.spawn (fun () ->
@@ -204,7 +205,7 @@ let test_watchdog_cuts_hung_heart () =
 
 let test_watchdog_beat_after_cut_raises_hang () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let w = Watchdog.create ~deadline_ns:1_000 (Reactor.create ~clock ()) in
   let raised = ref false in
   Fiber.run ~clock (fun () ->
       let h = Watchdog.arm ~name:"zombie" w in
@@ -218,7 +219,6 @@ let test_watchdog_beat_after_cut_raises_hang () =
 
 (* ---------- reactor / watchdog interplay ---------- *)
 
-module Reactor = Wedge_sim.Reactor
 module Fd_table = Wedge_kernel.Fd_table
 
 let mk_readv_vm () =
@@ -235,8 +235,8 @@ let mk_readv_vm () =
 let test_reactor_readv_beats_heart () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~clock ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let w = Watchdog.create ~deadline_ns:1_000 r in
+  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   let got = Buffer.create 64 in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       let a, b = Chan.pair () in
@@ -280,8 +280,8 @@ let test_reactor_readv_beats_heart () =
 let test_reactor_cuts_parked_worker_within_deadline () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~clock ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let w = Watchdog.create ~deadline_ns:1_000 r in
+  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   let woke_at = ref (-1) in
   let eof = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
@@ -320,7 +320,7 @@ let test_reactor_cuts_parked_worker_within_deadline () =
 (* ---------- circuit breaker ---------- *)
 
 let breaker_guard clock =
-  Guard.create ~clock
+  Guard.create ~reactor:(Reactor.create ~clock ())
     ~breaker:
       (Guard.breaker_config ~consecutive:3 ~rate:0.9 ~min_samples:100
          ~window_ns:1_000_000 ~open_ns:5_000 ~probes:2 ~brownout:0.99 ())
@@ -410,11 +410,11 @@ let test_breaker_failed_probe_reopens () =
    cut at the heartbeat deadline, the listener survives ([clean] — a
    terminating well-formed exchange — succeeds afterwards), and the
    tally accounts for the staller. *)
-let staller_then_clean ~serve_loop ~prefix ~clean k l guard w =
+let staller_then_clean ~serve_loop ~prefix ~clean k l guard w r =
   let clock = k.Kernel.clock in
   let t = Byzantine.tally () in
   let served_after = ref false in
-  Fiber.run ~clock ~on_switch:(Watchdog.hook w) (fun () ->
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn serve_loop;
       Fiber.spawn (fun () ->
           Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix
@@ -454,8 +454,9 @@ let test_staller_httpd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:11 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let w = Watchdog.create ~deadline_ns:4_000 r in
+  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_httpd.Httpd_simple.serve_loop env guard l)
     ~prefix:"h\001\000partial-hello"
@@ -463,7 +464,7 @@ let test_staller_httpd () =
          handshake and closes the stream — a definite answer proves the
          listener is alive *)
     ~clean:(clean_exchange l ~request:"GET / HTTP/1.0\r\n\r\n" ~ok:(fun _ -> true))
-    k l guard w
+    k l guard w r
 
 let test_staller_pop3 () =
   let k = Kernel.create ~costs:Cost_model.free () in
@@ -472,22 +473,24 @@ let test_staller_pop3 () =
   W.boot app;
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let w = Watchdog.create ~deadline_ns:4_000 r in
+  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_pop3.Pop3_wedge.serve_loop main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w
+    k l guard w r
 
 let test_staller_sshd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:12 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let w = Watchdog.create ~deadline_ns:4_000 r in
+  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   (* The clean probe is a real SSH login: a garbage follow-up would hang
      the slave mid-packet (another watchdog cut, not a health proof). *)
   let clean () =
@@ -516,7 +519,7 @@ let test_staller_sshd () =
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_sshd.Sshd_privsep.serve_loop env guard l)
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
-    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard w
+    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard w r
 
 (* ---------- new engine fault sites ---------- *)
 
@@ -568,9 +571,10 @@ let test_rearm_heart_clears_stale_beat () =
      deadline through no fault of the fresh attempt — without a rearm the
      next sweep cuts the retry for its predecessor's silence. *)
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let r = Reactor.create ~clock () in
+  let w = Watchdog.create ~deadline_ns:1_000 r in
   Fiber.run ~clock (fun () ->
-      let g = Guard.create ~clock ~watchdog:w ~max_conns:2 () in
+      let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
       let a, b = Chan.pair () in
       let c =
         match Guard.admit g b with
@@ -595,8 +599,9 @@ let test_staller_pop3_pooled_restamp () =
   W.boot app;
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let w = Watchdog.create ~deadline_ns:4_000 r in
+  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
@@ -607,7 +612,7 @@ let test_staller_pop3_pooled_restamp () =
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w;
+    k l guard w r;
   check Alcotest.bool "workers stamped from the pool" true
     (app.Wedge_core.Engine.pool_hits > 0)
 
