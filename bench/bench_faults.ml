@@ -34,7 +34,10 @@ let roundtrips ?faults ?capacity n =
 let guarded_roundtrips n =
   Fiber.run (fun () ->
       let a, b = Chan.pair () in
-      let g = Guard.create ~max_conns:1 () in
+      let g =
+        Guard.create ~reactor:(Wedge_sim.Reactor.create ~clock:(Wedge_sim.Clock.create ()) ())
+          ~max_conns:1 ()
+      in
       let c =
         match Guard.admit g b with Guard.Admitted c -> c | _ -> assert false
       in

@@ -296,7 +296,7 @@ let run () =
              "bench reactor: wall ratio < 2x at %d conns (%.1f ms vs %.1f ms)"
              conns (base.r_wall *. 1e3) (ev.r_wall *. 1e3))
   | _ -> ());
-  (let oc = open_out "BENCH_reactor.json" in
+  Bench_util.write_artifact ~smoke "BENCH_reactor.json" (fun oc ->
    Printf.fprintf oc
      "{\n\
      \  \"requests\": %d,\n\
@@ -311,7 +311,5 @@ let run () =
      (count_shape Bench_util.shape_medium)
      (count_shape Bench_util.shape_large)
      (Bytes.length resp)
-     (String.concat ",\n" (List.map conns_json rows));
-   close_out oc;
-   print_endline "  wrote BENCH_reactor.json");
+     (String.concat ",\n" (List.map conns_json rows)));
   print_newline ()

@@ -3,7 +3,7 @@
 
    One simulated world runs the partitioned POP3 server with its
    declared supervision tree behind a guard armed with a circuit breaker
-   and a watchdog.  A deterministic client drives repeated *incidents*:
+   and an idle deadline.  A deterministic client drives repeated *incidents*:
    a burst of requests with channel faults armed (the backend "goes
    bad"), then clean requests with the plan disarmed until one succeeds
    again.  Everything is measured on the simulated clock, so the JSON
@@ -15,8 +15,8 @@
      the backend was broken or the breaker was cooling down;
    - breaker reaction time: first failure of a streak -> trip (recorded
      by the guard);
-   - watchdog cuts: hung (half-written header) connections reclaimed at
-     the heartbeat deadline.
+   - hang cuts: hung (half-written header) connections reclaimed at the
+     guard's idle deadline.
 
    [WEDGE_RECOVERY_SMOKE=1] shrinks the incident count for CI. *)
 
@@ -28,7 +28,6 @@ module Reactor = Wedge_sim.Reactor
 module Fault_plan = Wedge_fault.Fault_plan
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Watchdog = Wedge_net.Watchdog
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
@@ -39,7 +38,7 @@ let smoke =
 let n_incidents = if smoke then 5 else 30
 let n_hangs = if smoke then 3 else 8
 let burst_requests = 6
-let watchdog_deadline_ns = 6_000
+let idle_deadline_ns = 6_000
 let clean_request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
 
 let contains hay needle =
@@ -91,7 +90,7 @@ type variant = {
 (* The spawn-priced cost model both variants pay: per-PTE and per-fd
    copy on a fresh boot, the flat stamp on a pooled one.  The prices are
    the paper's Table 2 shape scaled down so spawns stay well inside the
-   storm's watchdog deadline and breaker windows — the fresh/pooled
+   storm's idle deadline and breaker windows — the fresh/pooled
    *difference* per restart is what the rows measure, and it scales with
    the image either way. *)
 let spawn_costs =
@@ -110,16 +109,14 @@ let measure ~pooled =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:watchdog_deadline_ns r in
-  (* No header deadline: the watchdog must be the only thing reclaiming
-     the hang phase's half-written headers — that is what its row
-     measures (a guard deadline would race it and steal the cut). *)
+  (* No header deadline: the idle deadline alone reclaims the hang
+     phase's half-written headers — that is what its row measures. *)
   let guard =
-    Guard.create ~reactor:r
+    Guard.create ~reactor:r ~idle_deadline_ns
       ~breaker:
         (Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6
            ~window_ns:40_000 ~open_ns:5_000 ~probes:2 ~brownout:0.3 ())
-      ~watchdog:w ~max_conns:4 ()
+      ~max_conns:4 ()
   in
   let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.pool main_ctx) else None in
   let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in
@@ -167,8 +164,9 @@ let measure ~pooled =
           ignore (request l)
         done
       done;
-      (* Hang phase: half-written headers that only the watchdog can
-         reclaim; each cut lands within the heartbeat deadline. *)
+      (* Hang phase: half-written headers that only the idle deadline
+         can reclaim; each cut lands at the deadline. *)
+      let before = Guard.stats guard in
       for _ = 1 to n_hangs do
         Fiber.spawn (fun () ->
             Byzantine.mid_header_stall hang_tally l ~clock ~step_ns:1_000
@@ -176,12 +174,24 @@ let measure ~pooled =
       done;
       Fiber.wait_until ~what:"hang clients resolved" (fun () ->
           Byzantine.total hang_tally = n_hangs);
+      (* Every hang client is accounted for: cut at the idle deadline, or
+         turned away busy or shed at admission. *)
+      let after = Guard.stats guard in
+      let accounted =
+        after.Guard.s_timed_out - before.Guard.s_timed_out
+        + (after.Guard.s_rejected_busy - before.Guard.s_rejected_busy)
+        + (after.Guard.s_shed - before.Guard.s_shed)
+      in
+      if accounted <> n_hangs then
+        failwith
+          (Printf.sprintf "bench recovery: %d of %d hang clients cut, busy or shed"
+             accounted n_hangs);
       Guard.drain guard l);
   {
     v_incidents = List.rev !incidents;
     v_reactions = List.sort compare (Guard.breaker_reactions guard);
     v_stats = Guard.stats guard;
-    v_cuts = Watchdog.cuts w;
+    v_cuts = (Guard.stats guard).Guard.s_timed_out;
     v_stamps = app.Wedge_core.Engine.pool_stamps;
   }
 
@@ -224,9 +234,9 @@ let report ~label v d =
   Bench_util.row3 ("admissions shed (" ^ label ^ ")")
     (string_of_int v.v_stats.Guard.s_shed) "";
   Bench_util.row3
-    ("watchdog cuts (" ^ label ^ ")")
+    ("hang cuts (" ^ label ^ ")")
     (string_of_int v.v_cuts)
-    (Printf.sprintf "(deadline %s)" (Bench_util.us watchdog_deadline_ns));
+    (Printf.sprintf "(idle deadline %s)" (Bench_util.us idle_deadline_ns));
   Bench_util.row3 ("pool stamps (" ^ label ^ ")") (string_of_int v.v_stamps) ""
 
 let variant_json ~label v d =
@@ -236,11 +246,11 @@ let variant_json ~label v d =
     \    \"mttr_ns\": { \"p50\": %d, \"p99\": %d, \"mean\": %d },\n\
     \    \"requests_lost_per_fault\": %.2f,\n\
     \    \"breaker\": { \"opened\": %d, \"shed\": %d, \"reaction_ns_p50\": %d, \"reaction_ns_max\": %d },\n\
-    \    \"watchdog\": { \"cuts\": %d, \"deadline_ns\": %d, \"hang_clients\": %d },\n\
+    \    \"hang\": { \"cuts\": %d, \"idle_deadline_ns\": %d, \"clients\": %d },\n\
     \    \"pool_stamps\": %d\n\
     \  }"
     label d.d_n d.d_p50 d.d_p99 d.d_mean d.d_lost v.v_stats.Guard.s_breaker_opened
-    v.v_stats.Guard.s_shed d.d_r_p50 d.d_r_max v.v_cuts watchdog_deadline_ns n_hangs
+    v.v_stats.Guard.s_shed d.d_r_p50 d.d_r_max v.v_cuts idle_deadline_ns n_hangs
     v.v_stamps
 
 let run () =
@@ -274,10 +284,8 @@ let run () =
     failwith
       (Printf.sprintf "bench recovery: pooled MTTR p50 (%d) >= fresh-boot baseline 22300"
          dp.d_p50);
-  (let oc = open_out "BENCH_recovery.json" in
+  Bench_util.write_artifact ~smoke "BENCH_recovery.json" (fun oc ->
    Printf.fprintf oc "{\n%s,\n%s,\n  \"simulated\": true\n}\n"
      (variant_json ~label:"fresh" fresh df)
-     (variant_json ~label:"pooled" pooled dp);
-   close_out oc;
-   print_endline "  wrote BENCH_recovery.json");
+     (variant_json ~label:"pooled" pooled dp));
   print_newline ()

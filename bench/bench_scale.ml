@@ -372,7 +372,7 @@ let run () =
              "bench scale: %d cross-shard shootdowns at %d shards, expected %d"
              r.rw_xshoot r.rw_shards expected))
     pop3_rows;
-  (let oc = open_out "BENCH_scale.json" in
+  Bench_util.write_artifact ~smoke "BENCH_scale.json" (fun oc ->
    Printf.fprintf oc
      "{\n\
      \  \"total_conns\": %d,\n\
@@ -390,7 +390,5 @@ let run () =
         (List.map (row_json "pop3") pop3_rows
         @ List.map (row_json "httpd") httpd_rows
         @ List.map (row_json "sshd") sshd_rows))
-     (speedup_x100 pop3_rows) (speedup_x100 httpd_rows) (speedup_x100 sshd_rows);
-   close_out oc;
-   print_endline "  wrote BENCH_scale.json");
+     (speedup_x100 pop3_rows) (speedup_x100 httpd_rows) (speedup_x100 sshd_rows));
   print_newline ()

@@ -91,7 +91,7 @@ let run () =
     points;
   if last.fresh_ns <= first.fresh_ns then
     failwith "bench spawn: fresh boot cost failed to scale with image size";
-  (let oc = open_out "BENCH_spawn.json" in
+  Bench_util.write_artifact ~smoke "BENCH_spawn.json" (fun oc ->
    Printf.fprintf oc "{\n  \"points\": [\n";
    List.iteri
      (fun i p ->
@@ -100,7 +100,5 @@ let run () =
          p.pages p.fresh_ns p.recycled_ns p.pooled_ns
          (if i = List.length points - 1 then "" else ","))
      points;
-   Printf.fprintf oc "  ],\n  \"pooled_flat\": true,\n  \"simulated\": true\n}\n";
-   close_out oc;
-   print_endline "  wrote BENCH_spawn.json");
+   Printf.fprintf oc "  ],\n  \"pooled_flat\": true,\n  \"simulated\": true\n}\n");
   print_newline ()

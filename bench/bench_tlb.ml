@@ -176,7 +176,7 @@ let run () =
   Bench_util.row3 "revoke + next access (shootdown)" (f s_u8) "-";
   Printf.printf "  tlb: %d hits, %d misses, %d shootdowns this run\n" (Vm.tlb_hits vm)
     (Vm.tlb_misses vm) (Vm.tlb_shootdowns vm);
-  (let oc = open_out "BENCH_tlb.json" in
+  Bench_util.write_artifact ~smoke:(smoke ()) "BENCH_tlb.json" (fun oc ->
    Printf.fprintf oc
      "{\n\
      \  \"u8_iters\": %d,\n\
@@ -193,9 +193,7 @@ let run () =
      \  \"blit4k_speedup\": %.2f\n\
       }\n"
      u8_iters l_u8 w_u8 c_u8 l_u64 w_u64 l_blit w_blit s_u8 (l_u8 /. w_u8) (l_u64 /. w_u64)
-     (l_blit /. w_blit);
-   close_out oc;
-   print_endline "  wrote BENCH_tlb.json");
+     (l_blit /. w_blit));
   if smoke () then
     if w_u8 >= l_u8 then begin
       Printf.eprintf

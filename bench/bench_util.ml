@@ -32,6 +32,13 @@ let wall_time f =
   let _, t3 = wall_once f in
   (v, min t1 (min t2 t3))
 
+(* Smoke runs must not overwrite the committed full-scale artifacts. *)
+let write_artifact ~smoke name write =
+  let path = if smoke then Filename.concat (Filename.get_temp_dir_name ()) name else name in
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
+  Printf.printf "  wrote %s\n" path
+
 (* Percentile by rank on an already-sorted sample list: index
    ceil(p * (n-1)), clamped.  Hoisted here because bench_reactor and
    bench_recovery had drifted their own copies of the same formula; the

@@ -27,6 +27,13 @@ val wall_time : (unit -> 'a) -> 'a * float
 
 val wall_once : (unit -> 'a) -> 'a * float
 
+val write_artifact : smoke:bool -> string -> (out_channel -> unit) -> unit
+(** [write_artifact ~smoke name write] writes the artifact [name] (a
+    [BENCH_*.json]) through [write] and prints where it went: into
+    [Filename.get_temp_dir_name ()] for a smoke run, so a CI-sized run
+    never overwrites the committed full-scale artifact, and into the
+    current directory (the repo root under [dune exec]) otherwise. *)
+
 val percentile : int list -> float -> int
 (** [percentile sorted p] picks rank [ceil (p * (n-1))] from an already
     sorted sample list (clamped; 0 on an empty list).  The one percentile

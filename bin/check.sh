@@ -6,6 +6,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Smoke benches write their BENCH_*.json under the temp directory, never
+# over the committed full-scale artifacts at the repo root; every gate
+# below reads them from there.
+TMPDIR="$(mktemp -d)"
+export TMPDIR
+trap 'rm -rf "$TMPDIR"' EXIT
+
 # Registration guard: a test file that exists but is not named in
 # test/dune silently never runs — fail loudly instead.
 echo "== test registration guard =="
@@ -40,10 +47,9 @@ WEDGE_TLB_SMOKE=1 dune exec bench/main.exe -- tlb
 # seeded runs is asserted separately by examples/trace_demo.exe in
 # @runtest above.
 echo "== trace export (smoke) =="
-trace_out="$(mktemp /tmp/wedge-smoke-XXXXXX.trace.json)"
+trace_out="$TMPDIR/smoke.trace.json"
 WEDGE_TRACE_SMOKE=1 dune exec bin/wedge_cli.exe -- trace httpd -n 25 -o "$trace_out"
 test -s "$trace_out"
-rm -f "$trace_out"
 
 # Correctness-harness gate: explore 25 seeded schedules of every cell of
 # the server x feature scenario matrix (3 servers x plain melee, fault
@@ -56,10 +62,15 @@ echo "== schedule exploration: scenario matrix =="
 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1
 
 # Recovery benchmark: the MTTR benchmark must produce its artifact
-# (shrunk incident count under the smoke flag).
+# (shrunk incident count under the smoke flag; bench_recovery exits
+# nonzero if a hang client is neither cut nor turned away), and the
+# artifact — simulated time only — must be byte-stable across two runs.
 echo "== self-healing recovery (smoke) =="
 WEDGE_RECOVERY_SMOKE=1 dune exec bench/main.exe -- recovery
-test -s BENCH_recovery.json
+test -s "$TMPDIR/BENCH_recovery.json"
+cp "$TMPDIR/BENCH_recovery.json" "$TMPDIR/recovery-first.json"
+WEDGE_RECOVERY_SMOKE=1 dune exec bench/main.exe -- recovery
+cmp "$TMPDIR/BENCH_recovery.json" "$TMPDIR/recovery-first.json"
 
 # Snapshot-pool gate: spawn cost must stay flat for pooled stamps while
 # fresh boot scales with the image (bench_spawn exits nonzero on either
@@ -68,12 +79,10 @@ test -s BENCH_recovery.json
 # any drift is nondeterminism.
 echo "== spawn pool (smoke) =="
 WEDGE_SPAWN_SMOKE=1 dune exec bench/main.exe -- spawn
-test -s BENCH_spawn.json
-spawn_first="$(mktemp /tmp/wedge-spawn-XXXXXX.json)"
-cp BENCH_spawn.json "$spawn_first"
+test -s "$TMPDIR/BENCH_spawn.json"
+cp "$TMPDIR/BENCH_spawn.json" "$TMPDIR/spawn-first.json"
 WEDGE_SPAWN_SMOKE=1 dune exec bench/main.exe -- spawn
-cmp BENCH_spawn.json "$spawn_first"
-rm -f "$spawn_first"
+cmp "$TMPDIR/BENCH_spawn.json" "$TMPDIR/spawn-first.json"
 
 # Reactor gate: the evented serve path must beat a bench-local polling
 # loop by at least 2x on the simulated clock at 1k connections (bench_reactor
@@ -82,13 +91,11 @@ rm -f "$spawn_first"
 # byte-stable across two runs.
 echo "== reactor (smoke) =="
 WEDGE_REACTOR_SMOKE=1 dune exec bench/main.exe -- reactor
-test -s BENCH_reactor.json
-grep -q '"read_ratio_x100"' BENCH_reactor.json
-reactor_first="$(mktemp /tmp/wedge-reactor-XXXXXX.json)"
-cp BENCH_reactor.json "$reactor_first"
+test -s "$TMPDIR/BENCH_reactor.json"
+grep -q '"read_ratio_x100"' "$TMPDIR/BENCH_reactor.json"
+cp "$TMPDIR/BENCH_reactor.json" "$TMPDIR/reactor-first.json"
 WEDGE_REACTOR_SMOKE=1 dune exec bench/main.exe -- reactor
-cmp BENCH_reactor.json "$reactor_first"
-rm -f "$reactor_first"
+cmp "$TMPDIR/BENCH_reactor.json" "$TMPDIR/reactor-first.json"
 
 # Scale-out gate: the sharded multikernel bench (CI-sized population:
 # 2k pop3 + httpd + sshd connections over 1 vs 2 shards) must show >=
@@ -99,13 +106,11 @@ rm -f "$reactor_first"
 # across two runs.
 echo "== scale (smoke) =="
 WEDGE_SCALE_SMOKE=1 dune exec bench/main.exe -- scale
-test -s BENCH_scale.json
-grep -q '"speedup_x100"' BENCH_scale.json
-scale_first="$(mktemp /tmp/wedge-scale-XXXXXX.json)"
-cp BENCH_scale.json "$scale_first"
+test -s "$TMPDIR/BENCH_scale.json"
+grep -q '"speedup_x100"' "$TMPDIR/BENCH_scale.json"
+cp "$TMPDIR/BENCH_scale.json" "$TMPDIR/scale-first.json"
 WEDGE_SCALE_SMOKE=1 dune exec bench/main.exe -- scale
-cmp BENCH_scale.json "$scale_first"
-rm -f "$scale_first"
+cmp "$TMPDIR/BENCH_scale.json" "$TMPDIR/scale-first.json"
 
 # Policy-synthesis gate: close the Crowbar loop.  Synthesize the httpd
 # least-privilege profile from a recorded run and re-run the same
@@ -114,13 +119,12 @@ rm -f "$scale_first"
 # the profile file must be byte-stable across two record runs, and 25
 # explored schedules of the record->enforce scenario must stay clean.
 echo "== policy synthesis (smoke) =="
-synth_first="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
-synth_second="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
+synth_first="$TMPDIR/synth-first.prof"
+synth_second="$TMPDIR/synth-second.prof"
 WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_first"
 test -s "$synth_first"
 WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second" --mode record
 cmp "$synth_first" "$synth_second"
-rm -f "$synth_first" "$synth_second"
 WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_synth --schedules 25 --seed 1
 
 # Paper-shape gate: the simulated rows of Figure 7, Figure 8, Table 2
@@ -130,12 +134,11 @@ WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_synth 
 # also run to completion (exit 0), including Table 2's 10 MB scp.
 echo "== paper shapes: fig7 fig8 table2 ablation =="
 shape_start="$(date +%s)"
-shape_out="$(mktemp /tmp/wedge-shape-XXXXXX.txt)"
+shape_out="$TMPDIR/paper-shape.txt"
 for b in fig7 fig8 table2 ablation; do
   dune exec bench/main.exe -- "$b"
 done > "$shape_out"
 diff -u bench/paper_shape.expected "$shape_out"
-rm -f "$shape_out"
 echo "paper shapes: $(( $(date +%s) - shape_start )) s"
 
 echo "check.sh: all green"

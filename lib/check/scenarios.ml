@@ -37,7 +37,6 @@ module Fiber = Wedge_sim.Fiber
 module Fault_plan = Wedge_fault.Fault_plan
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Watchdog = Wedge_net.Watchdog
 module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module Drbg = Wedge_crypto.Drbg
@@ -62,9 +61,9 @@ let contains hay needle =
 (* Run [main] under [policy] with the oracle (and optionally the
    differential model) armed, then sweep.  [summarize] builds the
    deterministic outcome line from whatever the scenario observed.
-   [reactor]'s hook (timers, and the watchdog sweep riding its tick) runs
+   [reactor]'s hook (timers, the guard's deadlines among them) runs
    {e before} the oracle's sampled check, so invariants like
-   [Watchdog.self_check] hold at every inspected switch, and its [idle]
+   [Guard.deadline_check] hold at every inspected switch, and its [idle]
    is the scheduler's [on_idle]; [clock] is threaded to the fiber
    scheduler so induced ["fiber.stall"] faults charge simulated time. *)
 let checked ~kernel ?app ?sched_faults ?clock ?reactor ~policy ~diff main summarize =
@@ -365,11 +364,11 @@ let run_plain (type e) (kit : e kit) ~policy ~diff ~faults ~seed =
 
    On top of the channel/memory faults of the base scenarios, the storm
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
-   time — far past the watchdog's deadline) and ["cgate.call"] (a
+   time — far past the guard's idle deadline) and ["cgate.call"] (a
    callgate stalls or crashes mid-call).  The servers run their declared
-   supervision trees behind a guard armed with a circuit breaker and a
-   watchdog; the scenario asserts the full self-healing story: every
-   hung compartment is cut by the watchdog (oracle invariant), the
+   supervision trees behind a guard armed with a circuit breaker and an
+   idle deadline; the scenario asserts the full self-healing story: every
+   hung compartment is cut by its deadline (oracle invariant), the
    listener survives, the breaker closes again once the storm passes
    (heal epilogue), and the oracle sweeps clean — no leaked frame or
    descriptor across any restart, cut, or quarantine. *)
@@ -461,21 +460,21 @@ let storm_breaker () =
   Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6 ~window_ns:40_000
     ~open_ns:5_000 ~probes:2 ~brownout:0.3 ()
 
-(* The watchdog sweep rides the reactor tick ([checked]'s [reactor]
-   hook, at the first switch after the clock moves), so a hung heart is
-   cut within one scheduling step of its deadline.  The oracle re-checks
-   between switches too (syscall entries), where a single large clock
-   charge (a 20 µs induced stall) can land before the next sweep — the
-   slack covers exactly that. *)
-let storm_watchdog_invariant oracle w =
-  Oracle.add_invariant oracle ~name:"watchdog.cut-by-deadline" (fun () ->
-      Watchdog.self_check ~slack_ns:50_000 w)
+(* The deadline timers fire at the reactor tick ([checked]'s [reactor]
+   hook, at the first switch after the clock moves), so a hung connection
+   is cut within one scheduling step of its deadline.  The oracle
+   re-checks between switches too (syscall entries), where a single large
+   clock charge (a 20 µs induced stall) can land before the next tick —
+   the slack covers exactly that. *)
+let storm_deadline_invariant oracle guard =
+  Oracle.add_invariant oracle ~name:"guard.cut-by-deadline" (fun () ->
+      Guard.deadline_check ~slack_ns:50_000 guard)
 
-let storm_summary ~server ~k ~t ~heal ~guard ~w ~tree =
-  Printf.sprintf "%s %s heal=%d %s breaker=%s wd_cuts=%d wd_beats=%d %s degraded=%d shed=%d plan_armed"
+let storm_summary ~server ~k ~t ~heal ~guard ~tree =
+  Printf.sprintf "%s %s heal=%d %s breaker=%s %s degraded=%d shed=%d plan_armed"
     server (tally_to_string t) heal
     (guard_to_string (Guard.stats guard))
-    (Guard.breaker_summary guard) (Watchdog.cuts w) (Watchdog.beats w)
+    (Guard.breaker_summary guard)
     (Supervisor.tree_to_string tree)
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
     (Stats.get k.Kernel.stats (server ^ ".shed"))
@@ -493,7 +492,7 @@ let heal_probe kit ~seed env l =
    assertions.  [pooled] stamps every worker from the server's snapshot
    pool (stamp faults armed, frozen-frame sweep, spawn advantage
    measured).  The serve path parks on the reactor — deadlines on the
-   timer wheel, the watchdog swept from the timer tick, accept bursts
+   timer wheel, idle cuts among them, accept bursts
    drained in one wake — and the reactor's interest-set audit is an
    oracle invariant: no waiter whose readiness already holds stays
    parked (lost wakeup), no registration survives on a dead handle, no
@@ -508,9 +507,8 @@ let run_storm (type e) ~pooled (kit : e kit) ~policy ~diff ~faults ~seed =
   let app = kit.app env in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:6_000 r in
   let guard =
-    Guard.create ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
+    Guard.create ~header_deadline_ns:8_000 ~idle_deadline_ns:6_000 ~breaker:(storm_breaker ())
       ~reactor:r ~max_conns:kit.max_conns ()
   in
   let t = Byzantine.tally () in
@@ -523,7 +521,7 @@ let run_storm (type e) ~pooled (kit : e kit) ~policy ~diff ~faults ~seed =
   checked ~kernel:k ~app ~sched_faults:plan ~clock ~reactor:r ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(kit.server ^ ".guard") guard;
-      storm_watchdog_invariant oracle w;
+      storm_deadline_invariant oracle guard;
       Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
           Reactor.self_check r);
       Fiber.spawn (fun () ->
@@ -543,7 +541,7 @@ let run_storm (type e) ~pooled (kit : e kit) ~policy ~diff ~faults ~seed =
       | Some msg -> raise (Oracle.Violation (kit.server ^ "_storm: " ^ msg))
       | None -> ())
     (fun () ->
-      storm_summary ~server:kit.server ~k ~t ~heal:!heal ~guard ~w ~tree:node
+      storm_summary ~server:kit.server ~k ~t ~heal:!heal ~guard ~tree:node
       ^ pool_summary ~pooled app
       ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
       ^ (match advantage with
@@ -951,7 +949,8 @@ let sshd_kit =
     request = "SSH-2.0-chaos\r\nnot-a-kexinit\r\n";
     half_close = "SSH-2.0-chaos\r\n\r\n";
     (* A truncated wire frame: the header claims a 256-byte payload, so
-       the slave blocks mid-message — only the watchdog can reclaim it.
+       the slave blocks mid-message — only the idle deadline's hang cut
+       (which cancels the serve fiber) can reclaim it.
        (A bad leading byte like a raw "SSH-2.0-" banner fails fast
        instead of hanging.) *)
     stall_prefix = "D\001\000SSH-2.0-cha";
@@ -1026,7 +1025,7 @@ let features =
       about =
         (fun kit ->
           kit.server
-          ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree, \
+          ^ " self-healing: fault storm + induced hangs, idle deadline, breaker, tree, \
              wake audit");
       run = (fun kit -> run_storm ~pooled:false kit);
     };

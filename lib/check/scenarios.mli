@@ -21,8 +21,8 @@
     self-healing machinery: on top of channel/memory faults they induce
     {e hangs} (["fiber.stall"] and ["cgate.call"] fault sites) against a
     server running its declared supervision tree behind a guard armed
-    with a circuit breaker and a {!Wedge_net.Watchdog}.  They assert
-    that every hung compartment is cut within its heartbeat deadline
+    with a circuit breaker and an idle deadline.  They assert that
+    every hung compartment is cut within its idle deadline
     (oracle invariant), the listener survives, the breaker closes again
     once the storm passes, and the oracle sweeps clean — no leaked frame
     or descriptor across any restart, cut, or quarantine.

@@ -55,8 +55,9 @@ let fault_reason e =
   | Fault_plan.Injected msg -> Some msg
   | Rlimit.Resource_exhausted msg -> Some msg
   | Heap_corruption msg -> Some msg
-  (* A watchdog-cancelled fiber dies contained, like a SIGKILLed hung
-     worker: the hang was detected and cut, not a programming error. *)
+  (* A fiber cancelled by a hang cut dies contained, like a SIGKILLed
+     hung worker: the hang was detected and cut, not a programming
+     error. *)
   | Fiber.Cancelled msg -> Some msg
   | _ -> List.find_map (fun f -> f e) !extra_fault_classes
 
@@ -1139,21 +1140,16 @@ let open_file ctx ?(write = false) path =
 
 let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpoint ep) perm
 
-(* Block before the trap, not after: a descriptor with a readiness wait
-   (a channel or guarded endpoint) parks here until a read would
-   progress, so an idle connection charges zero syscall fuel and zero
-   trap cost while it waits.  Endpoints without one (or whose permissions
-   will make the read fail anyway) charge the trap first. *)
+(* Block before the trap, not after: an endpoint descriptor parks here
+   until a read would progress, so an idle connection charges zero
+   syscall fuel and zero trap cost while it waits.  Other descriptors (or
+   ones whose permissions will make the read fail anyway) charge the trap
+   first. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
-  | Some
-      {
-        Fd_table.target = Fd_table.Endpoint { Fd_table.ep_wait = Some w; _ };
-        perm;
-        closed = _;
-      }
-    when perm.Fd_table.fr ->
-      w ()
+  | Some { Fd_table.target = Fd_table.Endpoint ep; perm; closed = _ } when perm.Fd_table.fr
+    ->
+      ep.Fd_table.ep_wait ()
   | _ -> ()
 
 let fd_read ctx fd n =
@@ -1236,11 +1232,9 @@ let fd_write_from ctx fd ~addr ~len =
 
 (* Vectored descriptor I/O: a whole burst of (addr, len) runs through ONE
    kernel entry — one trap, one fuel unit, one trace instant, with each
-   run past the first priced at [Cost_model.syscall_batch_op].  On
-   endpoints with a native vectored path (channels) the bytes move
-   directly between the channel buffer and the caller's pages; otherwise
-   the engine scatters/gathers over the byte-level ops with the same
-   no-partial-write semantics. *)
+   run past the first priced at [Cost_model.syscall_batch_op].  The bytes
+   move directly between the endpoint's channel buffer and the caller's
+   pages. *)
 let iov_check name iovs =
   Array.iter
     (fun (_, len) ->
@@ -1268,30 +1262,7 @@ let fd_readv ctx fd iovs =
         Array.iter
           (fun (addr, len) -> if len > 0 then on_access ctx addr len Instr.Write)
           iovs;
-        let total =
-          match ep.Fd_table.ep_readv with
-          | Some rv -> rv ctx.proc.Process.vm iovs
-          | None ->
-              (* Scatter fallback: fill runs in order until the stream
-                 runs short.  Each chunk lands atomically through the
-                 checked bulk path, like [fd_read_into]. *)
-              let filled = ref 0 in
-              (try
-                 Array.iter
-                   (fun (addr, len) ->
-                     if len > 0 then begin
-                       let b = ep.Fd_table.ep_read len in
-                       let got = Bytes.length b in
-                       if got > 0 then begin
-                         Vm.write_bytes ctx.proc.Process.vm addr b;
-                         filled := !filled + got
-                       end;
-                       if got < len then raise Exit
-                     end)
-                   iovs
-               with Exit -> ());
-              !filled
-        in
+        let total = ep.Fd_table.ep_readv ctx.proc.Process.vm iovs in
         charge ctx ((costs ctx).Cost_model.net_per_byte * total);
         total
 
@@ -1314,17 +1285,7 @@ let fd_writev ctx fd iovs =
           (fun (addr, len) -> if len > 0 then on_access ctx addr len Instr.Read)
           iovs;
         charge ctx ((costs ctx).Cost_model.net_per_byte * want);
-        (match ep.Fd_table.ep_writev with
-        | Some wv -> ignore (wv ctx.proc.Process.vm iovs)
-        | None ->
-            (* Gather fallback: read every run out of the address space
-               BEFORE any byte is sent, so a protection fault mid-vector
-               delivers nothing — same atomicity as the native path. *)
-            let vm = ctx.proc.Process.vm in
-            let runs = Array.map (fun (addr, len) -> Vm.read_bytes vm addr len) iovs in
-            Array.iter
-              (fun b -> if Bytes.length b > 0 then ep.Fd_table.ep_write b)
-              runs);
+        ignore (ep.Fd_table.ep_writev ctx.proc.Process.vm iovs);
         want
 
 let fd_close ctx fd = Fd_table.close ctx.proc.Process.fds fd

@@ -84,10 +84,10 @@ let run_attempt ctx run =
 (* The flat retry loop, parameterised over what happens before a retry:
    the tree layer threads its intensity accounting through [on_fault]
    (returning [false] to abort the retry sequence — escalation), and
-   callers hook per-retry repair work — re-arming a watchdog heart left
-   [`Hung] by the cut that killed the previous attempt — through
-   [on_restart], which fires after the backoff charge, just before the
-   new attempt spawns. *)
+   callers hook per-retry repair work — restarting the connection's idle
+   clock, so the new attempt is not cut for its predecessor's silence —
+   through [on_restart], which fires after the backoff charge, just
+   before the new attempt spawns. *)
 let supervise_gen ~policy:p ~on_fault ~on_restart ctx attempt =
   let rec go n =
     match attempt () with
@@ -132,7 +132,7 @@ type strategy = One_for_one | Rest_for_one
 
 (* Where a child's compartments come from: fresh fork-priced boots, or
    O(1) stamps from a frozen snapshot pool.  [From_pool] applies to every
-   attempt, so a restart after a quarantine escalation, a watchdog cut or
+   attempt, so a restart after a quarantine escalation, a hang cut or
    a [Rest_for_one] sweep pays the flat stamp cost instead of a boot that
    scales with the image — the recovery path this module exists for. *)
 type restart = Fresh | From_pool of Pool.t

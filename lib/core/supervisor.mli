@@ -105,7 +105,7 @@ type restart = Fresh | From_pool of Pool.t
     the fork-priced way ({!Engine.sthread_create} / {!Engine.fork}).
     [From_pool] stamps every attempt from a frozen snapshot image
     ({!Pool.stamp}) at a flat cost independent of image size — so
-    recovery after a quarantine escalation, a watchdog cut or a
+    recovery after a quarantine escalation, a hang cut or a
     [Rest_for_one] sweep is O(1), the [sc] passed to {!run_child_sthread}
     riding along as the stamp's per-invocation extra grants.
 
@@ -148,8 +148,8 @@ val run_child :
     0; last_fault = "quarantined: ..." }] without running anything.
     [on_restart] fires once per retry, after the backoff charge and
     before the next attempt — the hook for per-attempt repair work such
-    as re-arming a watchdog heart the previous attempt's cut left hung
-    ({!Wedge_net.Guard.rearm_heart}). *)
+    as restarting the connection's idle clock, so the retry is not cut
+    for its predecessor's silence ({!Wedge_net.Guard.rearm}). *)
 
 val run_child_sthread :
   ?on_restart:(unit -> unit) ->

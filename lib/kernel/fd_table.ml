@@ -16,16 +16,15 @@ type endpoint = {
   ep_close : unit -> unit;
   ep_eof : unit -> bool;
   ep_desc : string;
-  ep_wait : (unit -> unit) option;
-      (* block (park, on a reactor-driven endpoint) until ep_read can
-         make progress — readable, EOF, or cut.  Called BEFORE the
-         syscall trap, so a blocked read charges no fuel while idle. *)
-  ep_readv : (Vm.t -> (int * int) array -> int) option;
-  ep_writev : (Vm.t -> (int * int) array -> int) option;
+  ep_wait : unit -> unit;
+      (* park until ep_read can make progress — readable, EOF, or cut.
+         Called BEFORE the syscall trap, so a blocked read charges no
+         fuel while idle. *)
+  ep_readv : Vm.t -> (int * int) array -> int;
+  ep_writev : Vm.t -> (int * int) array -> int;
       (* vectored kernel-copy paths: (addr, len) runs moved directly
          between the channel and the given address space in one batched
-         call.  Absent on endpoints without a zero-copy path; the engine
-         falls back to scatter/gather over ep_read/ep_write. *)
+         call *)
 }
 
 type target =

@@ -24,16 +24,14 @@ type endpoint = {
   ep_close : unit -> unit;
   ep_eof : unit -> bool;  (** no data buffered and peer closed *)
   ep_desc : string;
-  ep_wait : (unit -> unit) option;
-      (** block — park, on a reactor-driven endpoint — until [ep_read]
-          can make progress (readable, EOF, or cut).  The engine calls
-          it {e before} the syscall trap, so a blocked read charges no
-          fuel while idle. *)
-  ep_readv : (Vm.t -> (int * int) array -> int) option;
-  ep_writev : (Vm.t -> (int * int) array -> int) option;
+  ep_wait : unit -> unit;
+      (** park until [ep_read] can make progress (readable, EOF, or
+          cut).  The engine calls it {e before} the syscall trap, so a
+          blocked read charges no fuel while idle. *)
+  ep_readv : Vm.t -> (int * int) array -> int;
+  ep_writev : Vm.t -> (int * int) array -> int;
       (** vectored kernel-copy paths over [(addr, len)] runs in the given
-          address space; [None] makes the engine scatter/gather over
-          [ep_read]/[ep_write] instead *)
+          address space *)
 }
 
 type target =

@@ -115,8 +115,8 @@ let oversized t l ~size ~is_rejection =
 
 (* Mid-header staller: send a plausible prefix of the request, then go
    silent forever — a half-written header that never finishes.  Unlike
-   slow-loris it makes no further progress at all, so only hang detection
-   (a watchdog heartbeat deadline, or the guard's header deadline) can
+   slow-loris it makes no further progress at all, so only the guard's
+   deadlines (the idle deadline's hang cut, or the header deadline) can
    reclaim the slot: the worker is blocked mid-read with bytes already
    consumed.  The clock is charged in steps while waiting so deadlines
    actually expire.  Always tallied as cut (the session never completed)

@@ -413,9 +413,9 @@ let to_endpoint ep =
     (* The engine parks here before charging the syscall trap, so an idle
        descriptor burns no fuel — and the read that follows finds its
        bytes already buffered, charging no half-RTT. *)
-    ep_wait = Some (fun () -> wait_readable ep);
-    ep_readv = Some (fun vm iovs -> readv ep vm iovs);
-    ep_writev = Some (fun vm iovs -> writev ep vm iovs);
+    ep_wait = (fun () -> wait_readable ep);
+    ep_readv = (fun vm iovs -> readv ep vm iovs);
+    ep_writev = (fun vm iovs -> writev ep vm iovs);
   }
 
 (* ------------------------------------------------------------------ *)

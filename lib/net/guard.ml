@@ -85,8 +85,7 @@ type t = {
   idle_deadline_ns : int option;
   trace : Trace.t;
   breaker : breaker option;
-  watchdog : Watchdog.t option;
-  reactor : Reactor.t option;
+  reactor : Reactor.t;
       (* the guard's clock and timer wheel: deadlines are timers on it,
          the breaker ages on its clock, and admitted connections (and the
          accept loop's listener) are attached to it *)
@@ -116,8 +115,14 @@ and conn = {
          out whether this conn was still in it *)
   mutable is_probe : bool;  (* admitted through a half-open breaker *)
   mutable is_reported : bool;  (* outcome already fed to the breaker *)
-  mutable heart : Watchdog.heart option;
+  mutable server : server;
 }
+
+(* Who serves a connection.  A caller of [admit] serves it itself, and
+   its deadlines run from admission.  [accept_loop] admits a connection
+   [Queued]; its deadlines start when the serve fiber does, and an idle
+   cut cancels that fiber. *)
+and server = Caller | Queued | Serve_fiber of int
 
 type decision = Admitted of conn | Busy | Draining | Shed
 
@@ -132,33 +137,27 @@ type stats = {
   s_breaker_opened : int;
 }
 
-let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog ?reactor
-    ?(trace = Trace.null) ~max_conns () =
+let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?(trace = Trace.null) ~reactor
+    ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
-  (match (header_deadline_ns, idle_deadline_ns, reactor) with
-  | (Some _, _, None | _, Some _, None) ->
-      invalid_arg "Guard.create: deadlines need a reactor"
-  | _ -> ());
   let breaker =
-    match (breaker, reactor) with
-    | None, _ -> None
-    | Some _, None -> invalid_arg "Guard.create: a breaker needs a reactor"
-    | Some bcfg, Some _ ->
-        Some
-          {
-            bcfg;
-            b_state = Closed;
-            b_events = [];
-            b_consecutive = 0;
-            b_first_failure_ns = -1;
-            b_opened_at = 0;
-            b_probes_admitted = 0;
-            b_probe_successes = 0;
-            b_brownout_tick = 0;
-            b_opened = 0;
-            b_shed = 0;
-            b_reactions = [];
-          }
+    Option.map
+      (fun bcfg ->
+        {
+          bcfg;
+          b_state = Closed;
+          b_events = [];
+          b_consecutive = 0;
+          b_first_failure_ns = -1;
+          b_opened_at = 0;
+          b_probes_admitted = 0;
+          b_probe_successes = 0;
+          b_brownout_tick = 0;
+          b_opened = 0;
+          b_shed = 0;
+          b_reactions = [];
+        })
+      breaker
   in
   {
     max_conns;
@@ -166,7 +165,6 @@ let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog ?reactor
     idle_deadline_ns;
     trace;
     breaker;
-    watchdog;
     reactor;
     released = Reactor.unbound ~name:"guard.released";
     conns = [];
@@ -179,7 +177,7 @@ let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog ?reactor
     forced = 0;
   }
 
-let now t = match t.reactor with Some r -> Clock.now (Reactor.clock r) | None -> 0
+let now t = Clock.now (Reactor.clock t.reactor)
 
 (* Guard events carry pid 0: admission happens before any compartment
    exists for the connection. *)
@@ -241,17 +239,15 @@ let breaker_decision t =
           end
           else `Admit false)
 
+let idle_overdue c =
+  match c.g.idle_deadline_ns with Some d -> now c.g - c.last_read_ns > d | None -> false
+
 let overdue c =
-  let n = now c.g in
-  let header_overdue =
-    match c.g.header_deadline_ns with
-    | Some d when not c.is_established -> n - c.opened_ns > d
-    | _ -> false
-  in
-  let idle_overdue =
-    match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
-  in
-  header_overdue || idle_overdue
+  idle_overdue c
+  ||
+  match c.g.header_deadline_ns with
+  | Some d when not c.is_established -> now c.g - c.opened_ns > d
+  | _ -> false
 
 let cut c =
   if not c.is_cut then begin
@@ -260,6 +256,16 @@ let cut c =
     Trace.instant c.g.trace ~name:"guard.cut" ~pid:guard_pid;
     Chan.abort c.ep
   end
+
+(* An idle-deadline cut is a hang cut: besides the abort, the serve fiber
+   is cancelled, which reclaims a worker parked on something other than
+   this connection (the sshd slave mid-message on an internal channel) —
+   it dies as a contained [Fiber.Cancelled] its supervisor can restart. *)
+let hang_cut c =
+  cut c;
+  match c.server with
+  | Serve_fiber id -> Fiber.cancel ~reason:"guard: connection idle past its deadline" id
+  | Caller | Queued -> ()
 
 (* Earliest instant at which [overdue] could flip true (deadlines use
    strict [>], hence the +1).  [None] once released/cut or when no
@@ -283,20 +289,28 @@ let next_deadline c =
 
 (* Fire-and-re-check deadline: one timer per connection, armed at the
    earliest candidate instant.  When it fires the deadline has either
-   truly passed (cut — the channel abort wakes the parked worker to EOF)
-   or moved (bytes arrived, connection established): arm a fresh timer at
-   the new instant.  O(1) per event; no cancellation on the hot read
-   path — timers on released/cut connections fire once into a no-op. *)
-let rec arm_deadline r c =
+   truly passed (cut — the channel abort wakes the parked worker to EOF;
+   an idle deadline also cancels the serve fiber) or moved (bytes
+   arrived, connection established, {!rearm}): arm a fresh timer at the
+   new instant.  O(1) per event; no cancellation on the hot read path —
+   timers on released/cut connections fire once into a no-op.  Being a
+   timer, the deadline is also what [Reactor.idle] sleeps to when every
+   fiber is parked, so a hang is cut even when nothing else moves the
+   clock. *)
+let rec arm_deadline c =
   match next_deadline c with
   | None -> ()
   | Some at ->
       ignore
-        (Reactor.at r ~ns:at (fun () ->
+        (Reactor.at c.g.reactor ~ns:at (fun () ->
              if not (c.is_released || c.is_cut) then
-               if overdue c then cut c else arm_deadline r c))
+               if idle_overdue c then hang_cut c
+               else if overdue c then cut c
+               else arm_deadline c))
 
-let admit t ep =
+(* Admission without the deadline timer: [admit] arms it at once,
+   [accept_loop] when the connection's serve fiber starts. *)
+let claim t ep ~server =
   if t.draining then begin
     t.rejected_draining <- t.rejected_draining + 1;
     Trace.instant t.trace ~name:"guard.reject.draining" ~pid:guard_pid;
@@ -326,20 +340,21 @@ let admit t ep =
               is_released = false;
               is_probe;
               is_reported = false;
-              heart = None;
+              server;
             }
           in
           t.conns <- c :: t.conns;
           t.active_n <- t.active_n + 1;
           t.admitted <- t.admitted + 1;
-          (match t.reactor with
-          | Some r ->
-              Chan.attach_reactor r ep;
-              arm_deadline r c
-          | None -> ());
+          Chan.attach_reactor t.reactor ep;
           Trace.instant t.trace ~name:"guard.admit" ~pid:guard_pid;
           Admitted c
         end
+
+let admit t ep =
+  let d = claim t ep ~server:Caller in
+  (match d with Admitted c -> arm_deadline c | Busy | Draining | Shed -> ());
+  d
 
 (* Feed one connection's outcome to the breaker (idempotent per conn).
    Servers call this where they decide degraded-vs-served; unreported
@@ -419,7 +434,6 @@ let release c =
      + drain force-clear) must be cheap no-ops, not O(n) list walks. *)
   if not c.is_released then begin
     c.is_released <- true;
-    (match c.heart with Some h -> Watchdog.disarm h | None -> ());
     let g = c.g in
     g.conns <- List.filter (fun c' -> c' != c) g.conns;
     g.active_n <- g.active_n - 1;
@@ -430,25 +444,14 @@ let release c =
 
 let established c =
   c.is_established <- true;
-  c.last_read_ns <- now c.g;
-  match c.heart with Some h -> Watchdog.beat h | None -> ()
+  c.last_read_ns <- now c.g
 
-(* Replace this connection's heart with a freshly armed one.  A watchdog
-   cut leaves the heart [`Hung] — deliberately, so the stalled worker's
-   own late beat dies as a contained [Hang] — but a supervisor retrying
-   the worker in the same serve fiber (a pooled restamp) must not inherit
-   that state: the new attempt's first delivered byte would beat the dead
-   heart and be killed for its predecessor's hang.  Passed as the
-   supervisor's [on_restart] hook, so every retry starts with a clean
-   beat history. *)
-let rearm_heart c =
-  match c.g.watchdog with
-  | None -> ()
-  | Some w ->
-      (match c.heart with Some h -> Watchdog.disarm h | None -> ());
-      let h = Watchdog.arm ~name:"guard.conn" w in
-      Watchdog.watch h c.ep;
-      c.heart <- Some h
+(* Restart the idle clock.  A supervisor retrying the worker in the same
+   serve fiber (after a backoff, or a pooled restamp) passes this as its
+   [on_restart] hook, so the new attempt is not cut for its
+   predecessor's silence; the pending timer finds the deadline moved and
+   re-arms. *)
+let rearm c = c.last_read_ns <- now c.g
 
 let ep c = c.ep
 
@@ -468,13 +471,8 @@ let readable c =
     not c.is_cut
   end
 
-(* Progress: delivered bytes restart the idle clock and beat this
-   connection's heart. *)
-let delivered c n =
-  if n > 0 then begin
-    c.last_read_ns <- now c.g;
-    match c.heart with Some h -> Watchdog.beat h | None -> ()
-  end
+(* Progress: delivered bytes restart the idle clock. *)
+let delivered c n = if n > 0 then c.last_read_ns <- now c.g
 
 let endpoint c =
   {
@@ -492,44 +490,39 @@ let endpoint c =
     ep_desc = "guarded-chan";
     (* The engine calls [ep_wait] before charging the syscall trap, so a
        parked worker burns zero fuel while its client is silent. *)
-    ep_wait =
-      Some (fun () -> if (not c.is_cut) && not (overdue c) then Chan.wait_readable c.ep);
+    ep_wait = (fun () -> if (not c.is_cut) && not (overdue c) then Chan.wait_readable c.ep);
     ep_readv =
-      Some
-        (fun vm iovs ->
-          if readable c then begin
-            let n = Chan.readv c.ep vm iovs in
-            delivered c n;
-            n
-          end
-          else 0);
-    ep_writev = Some (fun vm iovs -> Chan.writev c.ep vm iovs);
+      (fun vm iovs ->
+        if readable c then begin
+          let n = Chan.readv c.ep vm iovs in
+          delivered c n;
+          n
+        end
+        else 0);
+    ep_writev = (fun vm iovs -> Chan.writev c.ep vm iovs);
   }
 
 let accept_loop t l ~reject ~serve =
   (* The guard's reactor counts and audits the acceptor's waits and every
      connection the listener mints from now on. *)
-  (match t.reactor with Some r -> Chan.attach_listener r l | None -> ());
+  Chan.attach_listener t.reactor l;
   let rec loop () =
     match Chan.accept l with
     | None -> ()
     | Some ep ->
-        (match admit t ep with
+        (match claim t ep ~server:Queued with
         | Admitted c ->
             Fiber.spawn (fun () ->
                 Fun.protect
                   ~finally:(fun () -> release c)
                   (fun () ->
-                    (* Arm the heartbeat from inside the serve fiber: the
-                       watchdog cancels this fiber on a cut. *)
-                    (match t.watchdog with
-                    | Some w ->
-                        let h = Watchdog.arm ~name:"guard.conn" w in
-                        Watchdog.watch h c.ep;
-                        c.heart <- Some h
-                    | None -> ());
+                    (* The deadlines start with the worker: time queued
+                       behind other connections' boots is not a hang. *)
+                    c.server <- Serve_fiber (Fiber.fiber_id ());
+                    rearm c;
+                    arm_deadline c;
                     (* A contained fault escaping the serve path (e.g. a
-                       watchdog cancellation delivered outside any
+                       hang cut's cancellation delivered outside any
                        compartment) kills this connection, never the
                        accept loop. *)
                     try serve c
@@ -576,11 +569,9 @@ let drain ?deadline_ns t l =
     t.conns <- [];
     t.active_n <- 0
   in
-  (match (deadline_ns, t.reactor) with
-  | Some d, Some r ->
-      ignore (Reactor.after r ~ns:d (fun () -> if t.conns <> [] then force ()))
-  | Some _, None -> invalid_arg "Guard.drain: a deadline needs a reactor"
-  | None, _ -> ());
+  Option.iter
+    (fun d -> ignore (Reactor.after t.reactor ~ns:d (fun () -> if t.conns <> [] then force ())))
+    deadline_ns;
   Reactor.wait t.released ~what:"guard drain"
     ~ready:(fun () -> t.conns = [])
     ~on_stall:(fun () -> if !forced then forfeit () else force ());
@@ -608,6 +599,19 @@ let self_check t =
             (Printf.sprintf "guard: active_n = %d exceeds max_conns = %d"
                t.active_n t.max_conns)
         else None
+
+(* Oracle invariant for the deadline timers: no live connection whose
+   deadlines have started stays overdue by more than [slack_ns] without
+   being cut. *)
+let deadline_check ~slack_ns t =
+  let n = now t in
+  List.find_map
+    (fun c ->
+      match next_deadline c with
+      | Some at when c.server <> Queued && n - at >= slack_ns ->
+          Some (Printf.sprintf "guard: connection overdue %d ns past its deadline, uncut" (n - at + 1))
+      | _ -> None)
+    t.conns
 
 let stats t =
   {

@@ -9,20 +9,19 @@
 
     Deadline cuts use {!Chan.abort}, so the worker compartment sees EOF
     on read and a {e contained} fault on write — the listener survives.
+    The idle deadline is also the stack's one hang detector: its cut
+    additionally cancels the connection's serve fiber
+    ({!Wedge_sim.Fiber.cancel}), so a worker hung anywhere — even parked
+    on an internal channel — dies as a contained fault its supervisor
+    can restart.
 
-    Two self-healing attachments (both optional):
-
-    - a per-backend {e circuit breaker} over reported worker outcomes:
-      closed → open on a consecutive-failure streak or a window failure
-      rate, open sheds every admission ({!decision} [Shed]) for a cooling
-      period, then half-open lets a few probes through — all succeeding
-      closes it, any failing reopens it.  Below the trip point, a window
-      failure rate at the brownout threshold sheds every second admission
-      (partial load shedding while the backend flaps);
-
-    - a {!Watchdog}: every admitted connection gets a heart armed in its
-      serve fiber, beaten by delivered bytes and {!established}, so a
-      hung worker is cut and cancelled within its heartbeat deadline. *)
+    Optionally, a per-backend {e circuit breaker} over reported worker
+    outcomes: closed → open on a consecutive-failure streak or a window
+    failure rate, open sheds every admission ({!decision} [Shed]) for a
+    cooling period, then half-open lets a few probes through — all
+    succeeding closes it, any failing reopens it.  Below the trip point,
+    a window failure rate at the brownout threshold sheds every second
+    admission (partial load shedding while the backend flaps). *)
 
 type t
 type conn
@@ -68,16 +67,19 @@ val create :
   ?header_deadline_ns:int ->
   ?idle_deadline_ns:int ->
   ?breaker:breaker_config ->
-  ?watchdog:Watchdog.t ->
-  ?reactor:Wedge_sim.Reactor.t ->
   ?trace:Wedge_sim.Trace.t ->
+  reactor:Wedge_sim.Reactor.t ->
   max_conns:int ->
   unit ->
   t
 (** [header_deadline_ns] bounds the time from admission to
-    {!established} (e.g. handshake + first request line);
-    [idle_deadline_ns] bounds the gap between reads thereafter.  [trace]
-    records admission decisions
+    {!established} (e.g. handshake + first request line); its cut only
+    aborts the connection.  [idle_deadline_ns] bounds the time without a
+    delivered byte — since admission, the last delivered byte,
+    {!established} or {!rearm} — and its cut also cancels the serve
+    fiber {!accept_loop} runs the connection in.  For {!accept_loop}'s
+    connections both deadlines start when that fiber does.  [trace] records
+    admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"]), drain spans, and breaker transitions
     (["guard.breaker.open"/"half_open"/"close"/"shed"]).
@@ -86,10 +88,8 @@ val create :
     on it (fire-and-re-check — O(1) per read, no per-read cancellation),
     the breaker ages on its clock, and admitted connections and the
     {!accept_loop} listener are attached to it, so it counts and audits
-    their waits.  Both deadlines and [breaker] need it.  [watchdog] is
-    swept by its own reactor (see {!Watchdog.create}).
-    @raise Invalid_argument on a deadline or breaker without a reactor,
-    or [max_conns <= 0]. *)
+    their waits.
+    @raise Invalid_argument when [max_conns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
 (** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
@@ -120,13 +120,10 @@ val established : conn -> unit
 (** The connection passed its handshake/greeting: the header deadline no
     longer applies and the idle clock restarts. *)
 
-val rearm_heart : conn -> unit
-(** Replace the connection's watchdog heart with a freshly armed one
-    (watching the same endpoint).  A cut leaves the old heart hung so the
-    stalled worker's late beat dies contained; a supervisor retrying the
+val rearm : conn -> unit
+(** Restart the connection's idle clock.  A supervisor retrying the
     worker in the same serve fiber passes this as its [on_restart] hook,
-    so the new attempt starts with a clean beat history instead of being
-    killed for its predecessor's hang.  No-op without a watchdog. *)
+    so the new attempt is not cut for its predecessor's silence. *)
 
 val ep : conn -> Chan.ep
 
@@ -140,8 +137,8 @@ val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
     (a deadline timer aborts the channel, which wakes the park).  The
     endpoint's [ep_wait] parks {e before} the syscall trap (an idle
     connection charges zero syscall fuel), and the vectored
-    [ep_readv]/[ep_writev] paths carry the same deadline/heartbeat
-    bookkeeping as reads. *)
+    [ep_readv]/[ep_writev] paths carry the same deadline bookkeeping as
+    reads. *)
 
 val accept_loop :
   t ->
@@ -150,8 +147,11 @@ val accept_loop :
   serve:(conn -> unit) ->
   unit
 (** Accept until the listener shuts down.  Admitted connections are
-    served in their own fiber with the slot auto-released; rejected ones
-    get [reject] (best-effort, exceptions swallowed) then close. *)
+    served in their own fiber — the one an idle cut cancels — with the
+    slot auto-released; the deadlines start when that fiber does, so
+    time queued behind other connections' work is not counted as a
+    hang.  Rejected ones get [reject] (best-effort, exceptions
+    swallowed) then close. *)
 
 val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
 (** Stop accepting (shuts the listener down, resetting queued
@@ -159,8 +159,7 @@ val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
     force-abort the remainder when [deadline_ns] of simulated time
     passes (a timer on the guard's reactor) or the world stalls.  A
     second stall after forcing forfeits the stragglers' slots, so the
-    drain always terminates.
-    @raise Invalid_argument on [deadline_ns] without a reactor. *)
+    drain always terminates. *)
 
 val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at
@@ -174,6 +173,14 @@ val self_check : t -> string option
     O(1) active counter equals the live-connection list length, no
     released connection lingers on the list, and the counter respects
     [max_conns]; otherwise [Some description] of the drift. *)
+
+val deadline_check : slack_ns:int -> t -> string option
+(** Oracle invariant for the deadline timers: [Some description] when a
+    live connection is overdue by more than [slack_ns] past its header or
+    idle deadline without having been cut ({!accept_loop}'s connections
+    count once their serve fiber has started).  The timers fire at the first
+    scheduling step after the clock passes them; the slack covers a check
+    that runs between steps, after one large clock charge. *)
 
 val register_metrics : ?name:string -> Wedge_sim.Metrics.t -> t -> unit
 (** Expose the admission counters (["guard.admitted"],

@@ -50,9 +50,9 @@ let degrade ~name ~farewell main ep =
   | None -> ()
 
 let run_worker ~name ~farewell ~guard ~supervised ~policy main ep worker =
-  (* A restamped worker must not inherit the hung heart a watchdog cut
-     left behind: each retry re-arms a fresh one. *)
-  let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
+  (* A retry must not be cut for its predecessor's silence: each one
+     restarts the connection's idle clock. *)
+  let on_restart = Option.map (fun c () -> Guard.rearm c) guard in
   let outcome =
     match (supervised, worker) with
     | Some child, Sthread (sc, body) -> Supervisor.run_child_sthread ?on_restart child sc body 0

@@ -108,8 +108,8 @@ val run_worker :
   worker ->
   Wedge_kernel.Process.status * bool * int
 (** Run one connection's worker under [supervised] (the tree child's
-    policy and budget) or else the flat [policy], re-arming the [guard]'s
-    heart before each retry.  Returns [(status, degraded, attempts)]; on
+    policy and budget) or else the flat [policy], restarting the
+    [guard]'s idle clock ({!Guard.rearm}) before each retry.  Returns [(status, degraded, attempts)]; on
     give-up the connection is {!degrade}d first. *)
 
 val degrade : name:string -> farewell:string option -> Wedge_core.Wedge.ctx -> Chan.ep -> unit

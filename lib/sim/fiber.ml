@@ -18,8 +18,8 @@ exception Deadlock of string
 
 exception Cancelled of string
 (* Delivered inside a fiber at its next yield (or stall step / wait-until
-   spin) after [cancel] marked it.  The watchdog uses this to tear down a
-   hung compartment: the engine registers [Cancelled] as a contained
+   spin) after [cancel] marked it.  A guard's idle-deadline cut uses this
+   to tear down a hung compartment: the engine registers [Cancelled] as a contained
    fault class, so a cancelled worker dies like a crashed one — the
    listener and every other fiber keep running. *)
 
@@ -115,8 +115,8 @@ let cancel_pending id =
 
 (* An induced hang (site "fiber.stall", kind [Delay ns]): burn [ns] of
    simulated time across several yields.  Each resume checks for
-   cancellation first, so a watchdog that cuts the stalled fiber turns the
-   hang into a contained [Cancelled] death mid-stall; an uncut stall is
+   cancellation first, so a hang cut that cancels the stalled fiber turns
+   the hang into a contained [Cancelled] death mid-stall; an uncut stall is
    transient — the fiber resumes where it left off. *)
 let stall s total =
   let chunk = max 1 (total / 8) in
@@ -278,7 +278,7 @@ let wait_until ?(what = "condition") cond =
 
 (* Park the calling fiber until [unpark].  Cancellation is delivered at
    both edges: a pending mark raises before the fiber ever leaves the
-   queue, and a mark set while parked (the watchdog cutting a hung
+   queue, and a mark set while parked (a hang cut cancelling a hung
    worker — [cancel] unparks its victim) raises at resume.  [on_stall]
    runs at resume when the stall rule, not a wake, unparked the fiber. *)
 let park ?on_stall ~what () =

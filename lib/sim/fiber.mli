@@ -22,8 +22,9 @@ exception Cancelled of string
 (** Delivered inside a fiber at its next {!yield} (or stall step, or
     {!wait_until} spin) after {!cancel} marked it.  The engine registers
     this as a {e contained} fault class, so cancelling the fiber running a
-    compartment kills only that compartment — the mechanism a watchdog
-    uses to tear down a hung worker.  The mark is consumed on delivery:
+    compartment kills only that compartment — the mechanism a guard's
+    idle-deadline cut ({!Wedge_net.Guard}) uses to tear down a hung
+    worker.  The mark is consumed on delivery:
     a supervisor restarting the victim does not see the retry die from
     the same stale cancellation. *)
 
@@ -67,7 +68,7 @@ val run :
     {!yield} additionally rolls site ["fiber.stall"]: kind [Delay ns]
     induces a hang — the fiber burns [ns] of simulated time (charged to
     [clock] when given) across several yields before resuming, unless a
-    watchdog cancels it mid-stall; any other kind raises like
+    a hang cut cancels it mid-stall; any other kind raises like
     ["fiber.yield"].  [on_idle] runs when nothing is
     runnable but fibers are {!park}ed: it should advance the simulated
     world (fire the next reactor timer) and return [true], or return
@@ -142,8 +143,8 @@ val cancel : ?reason:string -> int -> unit
 (** Mark fiber [id] for cancellation: its next {!yield}, stall step or
     {!wait_until} spin raises {!Cancelled} [reason] inside it.  A
     {!park}ed victim is unparked so the mark is delivered at resume.  Safe to
-    call from the {!run} [on_switch] hook (scheduler context) — the
-    watchdog's cut path.  No-op outside {!run}; marking an already-marked
+    call from the {!run} [on_switch] and [on_idle] hooks (scheduler
+    context) — where a guard's idle-deadline timer fires.  No-op outside {!run}; marking an already-marked
     fiber keeps the first reason. *)
 
 val cancel_pending : int -> bool

@@ -51,7 +51,6 @@ and t = {
   mutable next_handle : int;
   mutable next_timer : int;
   mutable timers : timer list;  (* sorted by (tm_at, tm_id) *)
-  mutable tick_hooks : (unit -> unit) list;  (* registration order *)
   waiting : (int, handle) Hashtbl.t;  (* handles with live waiters *)
   mutable last_now : int;  (* clock value at the last timer sweep *)
   mutable timers_dirty : bool;  (* a timer was armed since that sweep *)
@@ -69,7 +68,6 @@ let create ?(trace = Trace.null) ~clock () =
     next_handle = 0;
     next_timer = 0;
     timers = [];
-    tick_hooks = [];
     waiting = Hashtbl.create 64;
     last_now = -1;
     timers_dirty = false;
@@ -149,8 +147,8 @@ let is_dead h = h.h_dead
 
 (* Level-triggered wait: park until [ready], re-checking on every wake.
    A dead handle never blocks — the caller's own state (closed flag, EOF)
-   carries the final answer.  A cancellation delivered while parked (the
-   watchdog cutting this fiber) or an exception from the stall action
+   carries the final answer.  A cancellation delivered while parked (a
+   guard's idle deadline cutting this fiber) or an exception from the stall action
    must not leave a ghost registration behind: the waiter entry is
    dropped before the action runs and on the exception path too. *)
 let wait ?on_stall h ~what ~ready =
@@ -210,8 +208,6 @@ let pending_timers r =
     (List.filter (fun tm -> match tm.tm_fire with Some _ -> true | None -> false)
        r.timers)
 
-let on_tick r f = r.tick_hooks <- r.tick_hooks @ [ f ]
-
 (* Fire everything due.  The sweep is gated on the clock having moved
    (or a timer having been armed) since the last one, so the hook's cost
    on a switch where nothing happened is one comparison — the off-path
@@ -235,8 +231,7 @@ let tick r =
           fire ()
       | _ -> ()
     in
-    fire ();
-    List.iter (fun f -> f ()) r.tick_hooks
+    fire ()
   end
 
 let hook r () = tick r

@@ -92,8 +92,8 @@ val cancel_timer : t -> timer_id -> unit
 val pending_timers : t -> int
 
 val tick : t -> unit
-(** Fire every timer due at the current simulated time, then run the
-    {!on_tick} hooks.  Gated on the clock having moved since the last
+(** Fire every timer due at the current simulated time.  Gated on the
+    clock having moved (or a timer having been armed) since the last
     sweep, so an armed-but-quiet reactor costs one comparison per call. *)
 
 val hook : t -> unit -> unit
@@ -116,10 +116,6 @@ val idle_multi : t list -> unit -> bool
     own now wakes first (ties break on list order).  Advances only that
     reactor's clock and {!tick}s only it; [false] when no reactor has an
     armed timer. *)
-
-val on_tick : t -> (unit -> unit) -> unit
-(** Run [f] at every timer sweep (i.e. whenever simulated time moved) —
-    how a {!Wedge_net.Watchdog} is swept without any fiber polling. *)
 
 (** {2 Audit and observability} *)
 

@@ -179,7 +179,7 @@ let run_flood ~seed =
   Fault_plan.disarm plan;
   let k, main = mk_pop3 ~faults:plan () in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:16 () in
-  let guard = Guard.create ~max_conns:8 () in
+  let guard = Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:8 () in
   let t = Byzantine.tally () in
   let is_rejection s = contains s "-ERR busy" in
   Fiber.run (fun () ->
@@ -263,9 +263,9 @@ let test_slow_loris_cut_without_collateral () =
 (* ---------- oversized requests ---------- *)
 
 let test_pop3_oversized_command_rejected () =
-  let _k, main = mk_pop3 () in
+  let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard = Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 () in
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Pop3_wedge.serve_loop ~max_request_bytes:256 main guard l);
@@ -321,9 +321,9 @@ let test_drain_completes_in_flight () =
   check Alcotest.bool "draining flag set" true (Guard.draining guard)
 
 let test_drain_forces_stragglers () =
-  let _k, main = mk_pop3 () in
+  let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard = Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 () in
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Pop3_wedge.serve_loop main guard l);
@@ -347,7 +347,7 @@ let test_release_idempotent () =
      forfeit racing) must not drive the O(1) active counter negative or
      free another connection's slot. *)
   Fiber.run (fun () ->
-      let guard = Guard.create ~max_conns:2 () in
+      let guard = Guard.create ~reactor:(Reactor.create ~clock:(Clock.create ()) ()) ~max_conns:2 () in
       let a, b = Chan.pair () in
       match (Guard.admit guard a, Guard.admit guard b) with
       | Guard.Admitted ca, Guard.Admitted cb ->

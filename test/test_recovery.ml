@@ -1,7 +1,8 @@
 (* Self-healing tests: overflow-safe supervision backoff, fault-history
    reset for long-lived workers, supervision-tree escalation / quarantine
-   / rest-for-one, watchdog hang detection (unit and against all three
-   servers via a mid-header staller), circuit-breaker transitions, fiber
+   / rest-for-one, hang cuts by the guard's idle deadline (unit and
+   against all three servers via a mid-header staller), circuit-breaker
+   transitions, fiber
    cancellation delivery, the new engine fault sites, and byte-identical
    replay of a full fault-storm scenario. *)
 
@@ -13,8 +14,8 @@ module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Watchdog = Wedge_net.Watchdog
 module Reactor = Wedge_sim.Reactor
+module Fd_table = Wedge_kernel.Fd_table
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
@@ -178,48 +179,89 @@ let test_fiber_cancel_delivered_once () =
   check Alcotest.int "cancelled once" 1 !cancelled;
   check Alcotest.int "fiber continued after handling" 1 !resumed
 
-(* ---------- watchdog ---------- *)
+(* ---------- hang cuts: the guard's idle deadline ---------- *)
 
-let test_watchdog_cuts_hung_heart () =
+(* A guard with an idle deadline whose listener is served by
+   [accept_loop], so a hang cut cancels the connection's serve fiber. *)
+let idle_guard ~deadline_ns clock =
+  let r = Reactor.create ~clock () in
+  (r, Guard.create ~idle_deadline_ns:deadline_ns ~reactor:r ~max_conns:2 ())
+
+let serve_one g l serve =
+  Fiber.spawn (fun () -> Guard.accept_loop g l ~reject:(fun _ _ -> ()) ~serve)
+
+let test_hang_cuts_hung_fiber () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 (Reactor.create ~clock ()) in
+  let r, g = idle_guard ~deadline_ns:1_000 clock in
+  let l = Chan.listener ~costs:Cost_model.free () in
   let cancelled = ref false in
-  Fiber.run ~clock (fun () ->
-      Fiber.spawn (fun () ->
-          let h = Watchdog.arm ~name:"victim" w in
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
+      serve_one g l (fun _ ->
           try
-            Watchdog.beat h;
             Clock.charge clock 5_000;
-            (* hung: no beat while the clock runs past the deadline *)
+            (* hung: no byte delivered while the clock runs past the deadline *)
             while true do
               Fiber.yield ()
             done
           with Fiber.Cancelled _ -> cancelled := true);
-      Fiber.yield ();
-      Watchdog.sweep w;
-      Fiber.yield ());
+      let ep = Chan.connect l in
+      Fiber.wait_until ~what:"hung worker cancelled" (fun () -> !cancelled);
+      Chan.close ep;
+      Chan.shutdown l);
   check Alcotest.bool "fiber cancelled" true !cancelled;
-  check Alcotest.int "one cut" 1 (Watchdog.cuts w);
-  check Alcotest.bool "sweep satisfied the invariant" true
-    (Watchdog.self_check w = None)
+  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_timed_out;
+  check Alcotest.bool "no connection left overdue" true
+    (Guard.deadline_check ~slack_ns:0 g = None)
 
-let test_watchdog_beat_after_cut_raises_hang () =
+(* The worker is parked on an internal channel nobody writes (the sshd
+   slave mid-message): aborting the connection cannot wake it, the
+   cancellation does, and the late worker dies as a contained fault. *)
+let test_hang_late_worker_dies_contained () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 (Reactor.create ~clock ()) in
-  let raised = ref false in
-  Fiber.run ~clock (fun () ->
-      let h = Watchdog.arm ~name:"zombie" w in
-      Clock.charge clock 2_000;
-      Watchdog.sweep w;
-      check Alcotest.bool "hung" true (Watchdog.hung h);
-      (try Watchdog.beat h with Watchdog.Hang _ -> raised := true));
-  check Alcotest.bool "beat after cut raises Hang" true !raised;
-  check Alcotest.bool "Hang is a contained engine fault" true
-    (Wedge_core.Engine.fault_reason (Watchdog.Hang "x") <> None)
+  let r, g = idle_guard ~deadline_ns:1_000 clock in
+  let l = Chan.listener ~costs:Cost_model.free () in
+  let late = ref None in
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
+      serve_one g l (fun _ ->
+          let internal, _peer = Chan.pair () in
+          try ignore (Chan.read internal 1)
+          with e ->
+            late := Some e;
+            raise e);
+      let ep = Chan.connect l in
+      Fiber.wait_until ~what:"late worker resumed" (fun () -> !late <> None);
+      Chan.close ep;
+      Chan.shutdown l);
+  (match !late with
+  | Some (Fiber.Cancelled _ as e) ->
+      check Alcotest.bool "a contained engine fault" true
+        (Wedge_core.Engine.fault_reason e <> None)
+  | _ -> Alcotest.fail "the late worker must resume into Fiber.Cancelled");
+  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_timed_out;
+  check Alcotest.int "slot released" 0 (Guard.active g)
 
-(* ---------- reactor / watchdog interplay ---------- *)
+(* Worker and client both parked, nothing else charging the clock: the
+   deadline is a reactor timer, so the idle scheduler sleeps straight to
+   it and the cut lands at deadline + 1 — instead of the run dying in
+   [Fiber.Deadlock]. *)
+let test_hang_all_parked_is_cut () =
+  let clock = Clock.create () in
+  let r, g = idle_guard ~deadline_ns:1_000 clock in
+  let l = Chan.listener ~costs:Cost_model.free () in
+  let cancelled_at = ref (-1) in
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
+      serve_one g l (fun c ->
+          (* parks for a request that never comes *)
+          try ignore ((Guard.endpoint c).Fd_table.ep_read 64)
+          with Fiber.Cancelled _ -> cancelled_at := Clock.now clock);
+      let ep = Chan.connect l in
+      (* parks for a greeting that never comes *)
+      (try ignore (Chan.read ep 64) with _ -> ());
+      Chan.shutdown l);
+  check Alcotest.int "worker cancelled at deadline + 1" 1_001 !cancelled_at;
+  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_timed_out
 
-module Fd_table = Wedge_kernel.Fd_table
+(* ---------- reactor / idle-deadline interplay ---------- *)
 
 let mk_readv_vm () =
   let pm = Wedge_kernel.Physmem.create () in
@@ -229,14 +271,13 @@ let mk_readv_vm () =
   vm
 
 (* A worker draining its connection through batched vectored reads keeps
-   its heart beaten: the watchdog — pumped from the reactor's timer
-   sweeps, no polling fiber anywhere — must never cut it, even though
-   the session spans several deadlines end to end. *)
-let test_reactor_readv_beats_heart () =
+   its idle clock fresh: the deadline timer — fired from the reactor's
+   sweeps, no polling fiber anywhere — must never cut it, even though the
+   session spans several deadlines end to end. *)
+let test_reactor_readv_keeps_alive () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 r in
-  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~idle_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   let got = Buffer.create 64 in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       let a, b = Chan.pair () in
@@ -245,13 +286,9 @@ let test_reactor_readv_beats_heart () =
         | Guard.Admitted c -> c
         | _ -> Alcotest.fail "expected admission"
       in
-      let e = Guard.endpoint c in
-      let readv = Option.get e.Fd_table.ep_readv in
+      let readv = (Guard.endpoint c).Fd_table.ep_readv in
       let vm = mk_readv_vm () in
       Fiber.spawn (fun () ->
-          (* Arm the heart from inside the serve fiber, as accept_loop
-             does — a cut cancels precisely this fiber. *)
-          Guard.rearm_heart c;
           let rec go () =
             let n = readv vm [| (0x1000, 4); (0x1004, 4) |] in
             if n > 0 then begin
@@ -262,26 +299,26 @@ let test_reactor_readv_beats_heart () =
           go ();
           Guard.release c);
       (* Five bursts, each 0.6 deadlines apart: the whole session lasts
-         3x the heartbeat deadline, but every vectored delivery beats
-         the heart in passing. *)
+         3x the idle deadline, but every vectored delivery restarts the
+         idle clock in passing. *)
       for i = 1 to 5 do
         Clock.charge clock 600;
         Chan.write_string a (Printf.sprintf "burst%03d" i)
       done;
       Chan.close a);
-  check Alcotest.int "heart stayed beaten: no cut" 0 (Watchdog.cuts w);
+  check Alcotest.int "idle clock kept fresh: no cut" 0 (Guard.stats g).Guard.s_timed_out;
   check Alcotest.int "every burst landed through readv" 40 (Buffer.length got);
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+  check Alcotest.bool "no connection left overdue" true
+    (Guard.deadline_check ~slack_ns:0 g = None)
 
-(* A parked worker whose client goes silent: the heart runs overdue and
-   the reactor-pumped watchdog must cut it promptly — parking must not
-   delay the cut past the deadline plus one sweep step, and the cut must
-   wake the parked fiber to a clean EOF. *)
+(* A parked worker whose client goes silent: the idle deadline must cut
+   it promptly — parking must not delay the cut past the deadline plus
+   one sweep step, and the cut must wake the parked fiber to a clean
+   EOF. *)
 let test_reactor_cuts_parked_worker_within_deadline () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 r in
-  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~idle_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   let woke_at = ref (-1) in
   let eof = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
@@ -291,27 +328,25 @@ let test_reactor_cuts_parked_worker_within_deadline () =
         | Guard.Admitted c -> c
         | _ -> Alcotest.fail "expected admission"
       in
-      let e = Guard.endpoint c in
-      let readv = Option.get e.Fd_table.ep_readv in
+      let readv = (Guard.endpoint c).Fd_table.ep_readv in
       let vm = mk_readv_vm () in
       Fiber.spawn (fun () ->
-          Guard.rearm_heart c;
-          (try eof := readv vm [| (0x1000, 8) |] = 0
-           with Fiber.Cancelled _ -> eof := true);
+          eof := readv vm [| (0x1000, 8) |] = 0;
           woke_at := Clock.now clock;
           Guard.release c);
-      (* Let the worker arm its heart and park before the silence. *)
+      (* Let the worker park before the silence. *)
       Fiber.yield ();
       (* Silence: advance the clock in sweep-sized steps; every yield
-         runs the reactor hook, which sweeps the watchdog. *)
+         runs the reactor hook, which fires due deadline timers. *)
       for _ = 1 to 10 do
         Clock.charge clock 300;
         Fiber.yield ()
       done;
       Chan.close a);
-  check Alcotest.int "watchdog cut the parked worker" 1 (Watchdog.cuts w);
+  check Alcotest.int "the idle deadline cut the parked worker" 1
+    (Guard.stats g).Guard.s_timed_out;
   check Alcotest.bool "cut surfaced as EOF in the parked read" true !eof;
-  (* The sweep at t=1200 cuts the heart, but the cancelled worker lands
+  (* The timer fires at the t=1200 sweep, but the woken worker lands
      behind the already-enqueued main fiber, so it resumes one scheduler
      rotation (one more 300 ns charge) later: deadline + sweep + rotation. *)
   check Alcotest.bool "cut landed within deadline + sweep + one rotation" true
@@ -406,11 +441,11 @@ let test_breaker_failed_probe_reopens () =
 
 (* ---------- satellite 3: mid-header staller vs all three servers ------- *)
 
-(* One hanging client against a watchdog-armed server: the hung worker is
-   cut at the heartbeat deadline, the listener survives ([clean] — a
+(* One hanging client against a server behind an idle deadline: the hung
+   worker is cut at the deadline, the listener survives ([clean] — a
    terminating well-formed exchange — succeeds afterwards), and the
    tally accounts for the staller. *)
-let staller_then_clean ~serve_loop ~prefix ~clean k l guard w r =
+let staller_then_clean ~serve_loop ~prefix ~clean k l guard r =
   let clock = k.Kernel.clock in
   let t = Byzantine.tally () in
   let served_after = ref false in
@@ -424,9 +459,11 @@ let staller_then_clean ~serve_loop ~prefix ~clean k l guard w r =
       served_after := clean ();
       Guard.drain guard l);
   check Alcotest.int "staller cut" 1 t.Byzantine.cut;
-  check Alcotest.bool "watchdog cut the hung worker" true (Watchdog.cuts w >= 1);
+  check Alcotest.bool "the idle deadline cut the hung worker" true
+    ((Guard.stats guard).Guard.s_timed_out >= 1);
   check Alcotest.bool "listener survived and served" true !served_after;
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+  check Alcotest.bool "no connection left overdue" true
+    (Guard.deadline_check ~slack_ns:0 guard = None)
 
 (* A clean request/response exchange that is guaranteed to terminate:
    send [request], read to EOF (the request must drive the server to
@@ -455,8 +492,7 @@ let test_staller_httpd () =
   let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:11 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let w = Watchdog.create ~deadline_ns:4_000 r in
-  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let guard = Guard.create ~idle_deadline_ns:4_000 ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_httpd.Httpd_simple.serve_loop env guard l)
     ~prefix:"h\001\000partial-hello"
@@ -464,7 +500,7 @@ let test_staller_httpd () =
          handshake and closes the stream — a definite answer proves the
          listener is alive *)
     ~clean:(clean_exchange l ~request:"GET / HTTP/1.0\r\n\r\n" ~ok:(fun _ -> true))
-    k l guard w r
+    k l guard r
 
 let test_staller_pop3 () =
   let k = Kernel.create ~costs:Cost_model.free () in
@@ -474,25 +510,23 @@ let test_staller_pop3 () =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let w = Watchdog.create ~deadline_ns:4_000 r in
-  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let guard = Guard.create ~idle_deadline_ns:4_000 ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_pop3.Pop3_wedge.serve_loop main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w r
+    k l guard r
 
 let test_staller_sshd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:12 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let w = Watchdog.create ~deadline_ns:4_000 r in
-  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let guard = Guard.create ~idle_deadline_ns:4_000 ~reactor:r ~max_conns:2 () in
   (* The clean probe is a real SSH login: a garbage follow-up would hang
-     the slave mid-packet (another watchdog cut, not a health proof). *)
+     the slave mid-packet (another hang cut, not a health proof). *)
   let clean () =
     match Chan.connect l with
     | exception _ -> false
@@ -519,7 +553,7 @@ let test_staller_sshd () =
   staller_then_clean
     ~serve_loop:(fun () -> Wedge_sshd.Sshd_privsep.serve_loop env guard l)
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
-    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard w r
+    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r
 
 (* ---------- new engine fault sites ---------- *)
 
@@ -563,18 +597,18 @@ let test_cgate_call_site_faults_contained () =
   check Alcotest.bool "fault site charged" true
     (Stats.get k.Kernel.stats "fault.cgate" >= 1)
 
-(* ---------- satellite: re-armed hearts on pooled restart ---------- *)
+(* ---------- satellite: the idle clock restarts on pooled restart ---------- *)
 
-let test_rearm_heart_clears_stale_beat () =
+let test_rearm_clears_stale_idle_clock () =
   (* A supervised retry resumes in the same serve fiber after a backoff
-     charge.  The heart armed at admission is then already past its
-     deadline through no fault of the fresh attempt — without a rearm the
-     next sweep cuts the retry for its predecessor's silence. *)
+     charge.  The idle clock started at admission is then already past
+     its deadline through no fault of the fresh attempt — without a
+     rearm the pending timer cuts the retry for its predecessor's
+     silence. *)
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 r in
+  let g = Guard.create ~idle_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   Fiber.run ~clock (fun () ->
-      let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
       let a, b = Chan.pair () in
       let c =
         match Guard.admit g b with
@@ -582,17 +616,20 @@ let test_rearm_heart_clears_stale_beat () =
         | _ -> Alcotest.fail "expected admission"
       in
       Clock.charge clock 2_000;
-      Guard.rearm_heart c;
-      Watchdog.sweep w;
-      check Alcotest.int "no spurious cut after rearm" 0 (Watchdog.cuts w);
+      Guard.rearm c;
+      (* fire the deadline timer that came due at 1001 *)
+      Reactor.tick r;
+      check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_timed_out;
+      check Alcotest.bool "no connection left overdue" true
+        (Guard.deadline_check ~slack_ns:0 g = None);
       Guard.release c;
-      Chan.close a);
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+      Chan.close a)
 
 let test_staller_pop3_pooled_restamp () =
   (* The integration shape: a pooled supervised worker is cut by the
-     watchdog mid-header; the supervisor restamps from the frozen image
-     (re-arming the heart on the way) and the listener keeps serving. *)
+     idle deadline mid-header; the supervisor restamps from the frozen
+     image (restarting the idle clock on the way) and the listener keeps
+     serving. *)
   let k = Kernel.create ~costs:Cost_model.free () in
   Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
   let app = W.create_app ~image_pages:60 k in
@@ -600,8 +637,7 @@ let test_staller_pop3_pooled_restamp () =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let w = Watchdog.create ~deadline_ns:4_000 r in
-  let guard = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let guard = Guard.create ~idle_deadline_ns:4_000 ~reactor:r ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
@@ -612,7 +648,7 @@ let test_staller_pop3_pooled_restamp () =
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w r;
+    k l guard r;
   check Alcotest.bool "workers stamped from the pool" true
     (app.Wedge_core.Engine.pool_hits > 0)
 
@@ -647,15 +683,17 @@ let () =
         ] );
       ( "cancel",
         [ Alcotest.test_case "delivered once" `Quick test_fiber_cancel_delivered_once ] );
-      ( "watchdog",
+      ( "hang",
         [
-          Alcotest.test_case "cuts hung heart" `Quick test_watchdog_cuts_hung_heart;
-          Alcotest.test_case "beat after cut" `Quick test_watchdog_beat_after_cut_raises_hang;
+          Alcotest.test_case "cuts a hung fiber" `Quick test_hang_cuts_hung_fiber;
+          Alcotest.test_case "late worker after cut" `Quick
+            test_hang_late_worker_dies_contained;
+          Alcotest.test_case "all-parked hang is cut" `Quick test_hang_all_parked_is_cut;
         ] );
       ( "reactor",
         [
-          Alcotest.test_case "batched readv beats heart" `Quick
-            test_reactor_readv_beats_heart;
+          Alcotest.test_case "batched readv keeps connection alive" `Quick
+            test_reactor_readv_keeps_alive;
           Alcotest.test_case "parked worker cut within deadline" `Quick
             test_reactor_cuts_parked_worker_within_deadline;
         ] );
@@ -672,8 +710,8 @@ let () =
         ] );
       ( "rearm",
         [
-          Alcotest.test_case "stale heart survives rearm" `Quick
-            test_rearm_heart_clears_stale_beat;
+          Alcotest.test_case "clears a stale idle clock" `Quick
+            test_rearm_clears_stale_idle_clock;
           Alcotest.test_case "pooled staller restamp" `Quick
             test_staller_pop3_pooled_restamp;
         ] );
