@@ -112,11 +112,7 @@ let measure ~pooled =
   (* No header deadline: the idle deadline alone reclaims the hang
      phase's half-written headers — that is what its row measures. *)
   let guard =
-    Guard.create ~reactor:r ~idle_deadline_ns
-      ~breaker:
-        (Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6
-           ~window_ns:40_000 ~open_ns:5_000 ~probes:2 ~brownout:0.3 ())
-      ~max_conns:4 ()
+    Guard.create ~reactor:r ~idle_deadline_ns ~breaker:true ~max_conns:4 ()
   in
   let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.pool main_ctx) else None in
   let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in

@@ -48,7 +48,7 @@ WEDGE_TLB_SMOKE=1 dune exec bench/main.exe -- tlb
 # @runtest above.
 echo "== trace export (smoke) =="
 trace_out="$TMPDIR/smoke.trace.json"
-WEDGE_TRACE_SMOKE=1 dune exec bin/wedge_cli.exe -- trace httpd -n 25 -o "$trace_out"
+dune exec bin/wedge_cli.exe -- trace httpd -n 25 -o "$trace_out"
 test -s "$trace_out"
 
 # Correctness-harness gate: explore 25 seeded schedules of every cell of
@@ -121,11 +121,11 @@ cmp "$TMPDIR/BENCH_scale.json" "$TMPDIR/scale-first.json"
 echo "== policy synthesis (smoke) =="
 synth_first="$TMPDIR/synth-first.prof"
 synth_second="$TMPDIR/synth-second.prof"
-WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_first"
+dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_first"
 test -s "$synth_first"
-WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second" --mode record
+dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second" --mode record
 cmp "$synth_first" "$synth_second"
-WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario httpd_synth --schedules 25 --seed 1
+dune exec bin/wedge_cli.exe -- check --scenario httpd_synth --schedules 25 --seed 1
 
 # Paper-shape gate: the simulated rows of Figure 7, Figure 8, Table 2
 # and the ablations (every one a pure function of the cost model) must

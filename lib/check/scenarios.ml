@@ -456,10 +456,6 @@ let assert_pool_used ~pooled ~server app =
   if pooled && app.Wedge_core.Engine.pool_hits = 0 then
     raise (Oracle.Violation (server ^ ": pooled storm never stamped a worker"))
 
-let storm_breaker () =
-  Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6 ~window_ns:40_000
-    ~open_ns:5_000 ~probes:2 ~brownout:0.3 ()
-
 (* The deadline timers fire at the reactor tick ([checked]'s [reactor]
    hook, at the first switch after the clock moves), so a hung connection
    is cut within one scheduling step of its deadline.  The oracle
@@ -508,7 +504,7 @@ let run_storm (type e) ~pooled (kit : e kit) ~policy ~diff ~faults ~seed =
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:kit.backlog () in
   let r = Reactor.create ~clock () in
   let guard =
-    Guard.create ~header_deadline_ns:8_000 ~idle_deadline_ns:6_000 ~breaker:(storm_breaker ())
+    Guard.create ~header_deadline_ns:8_000 ~idle_deadline_ns:6_000 ~breaker:true
       ~reactor:r ~max_conns:kit.max_conns ()
   in
   let t = Byzantine.tally () in

@@ -1211,25 +1211,6 @@ let fd_write ctx fd b =
       | Ok () -> ()
       | Error err -> raise (Fd_error (Vfs.error_to_string err)))
 
-(* Zero-intermediate-step I/O: the kernel moves bytes between the
-   descriptor and the caller's pages directly.  The memory side goes
-   through the checked Vm bulk path — one fault roll, one translation per
-   page (warm pages hit the TLB), atomic multi-page writes — so a
-   mid-transfer protection fault never leaves a torn buffer. *)
-let fd_read_into ctx fd ~addr n =
-  let b = fd_read ctx fd n in
-  let len = Bytes.length b in
-  if len > 0 then begin
-    on_access ctx addr len Instr.Write;
-    Vm.write_bytes ctx.proc.Process.vm addr b
-  end;
-  len
-
-let fd_write_from ctx fd ~addr ~len =
-  on_access ctx addr len Instr.Read;
-  let b = Vm.read_bytes ctx.proc.Process.vm addr len in
-  fd_write ctx fd b
-
 (* Vectored descriptor I/O: a whole burst of (addr, len) runs through ONE
    kernel entry — one trap, one fuel unit, one trace instant, with each
    run past the first priced at [Cost_model.syscall_batch_op].  The bytes
@@ -1265,28 +1246,6 @@ let fd_readv ctx fd iovs =
         let total = ep.Fd_table.ep_readv ctx.proc.Process.vm iovs in
         charge ctx ((costs ctx).Cost_model.net_per_byte * total);
         total
-
-let fd_writev ctx fd iovs =
-  let want = iov_check "writev" iovs in
-  let ops = max 1 (Array.length iovs) in
-  Kernel.syscall_check_batch ctx.app.kernel ctx.proc "write" ~ops;
-  check_policy_fd ctx fd ~write:true;
-  let e = fd_entry ctx fd in
-  if not e.Fd_table.perm.Fd_table.fw then
-    raise (Fd_error (Printf.sprintf "pid %d: fd %d not writable" (pid ctx) fd));
-  if want = 0 then 0
-  else
-    match e.Fd_table.target with
-    | Fd_table.Null -> want
-    | Fd_table.File _ ->
-        raise (Fd_error (Printf.sprintf "pid %d: fd %d: writev needs a stream" (pid ctx) fd))
-    | Fd_table.Endpoint ep ->
-        Array.iter
-          (fun (addr, len) -> if len > 0 then on_access ctx addr len Instr.Read)
-          iovs;
-        charge ctx ((costs ctx).Cost_model.net_per_byte * want);
-        ignore (ep.Fd_table.ep_writev ctx.proc.Process.vm iovs);
-        want
 
 let fd_close ctx fd = Fd_table.close ctx.proc.Process.fds fd
 

@@ -4,64 +4,46 @@
 
    Two layers:
 
-   - The flat API ([supervise] and friends): retry a crashed sthread with
-     exponential backoff charged to the simulated clock, give up into a
-     [Gave_up] outcome the caller turns into a degraded response (HTTP
-     500, POP3 -ERR, SSH disconnect).
+   - The flat API ([supervise_sthread], [supervise_fork]): retry a
+     crashed sthread with exponential backoff charged to the simulated
+     clock, give up into a [Gave_up] outcome the caller turns into a
+     degraded response (HTTP 500, POP3 -ERR, SSH disconnect).
 
-   - The supervision tree ([node] / [child] / [run_child*]): named
-     children with per-child health state and a restart-intensity budget
-     on the simulated clock.  A child whose faults exceed the budget
-     inside the window escalates to its node — it is quarantined (runs
-     are refused outright until the quarantine expires, the caller's
-     degraded path fires without burning a doomed spawn) and, under
-     [Rest_for_one], every child registered after it is marked
-     [Restarting] with its fault history cleared.  A child that stays
-     healthy for the node's healthy window gets its fault history reset,
-     so one early crash does not inflate a long-lived worker's intensity
+   - The supervision tree ([node] / [child] / [run_child_*]): named
+     children with per-child health state and one fixed restart-intensity
+     budget on the simulated clock.  A child whose faults exceed the
+     budget inside the window escalates: it is quarantined (runs are
+     refused outright until the quarantine expires, the caller's degraded
+     path fires without burning a doomed spawn).  A child that stays
+     healthy for the healthy window gets its fault history reset, so one
+     early crash does not inflate a long-lived worker's intensity
      forever. *)
 
 module Clock = Wedge_sim.Clock
 module Process = Wedge_kernel.Process
 
-type policy = {
-  max_restarts : int;  (* retries after the first attempt *)
-  backoff_ns : int;  (* charged before retry k as backoff_ns * 2^(k-1) *)
-  max_backoff_ns : int;  (* cap on any single backoff charge *)
-}
-
-let default_max_backoff_ns = 1_000_000_000
-
-let default_policy =
-  { max_restarts = 0; backoff_ns = 100; max_backoff_ns = default_max_backoff_ns }
-
-let policy ?(max_restarts = 0) ?(backoff_ns = 100)
-    ?(max_backoff_ns = default_max_backoff_ns) () =
-  { max_restarts; backoff_ns; max_backoff_ns }
+(* The one recovery configuration every server, scenario and bench runs. *)
+let backoff_base_ns = 100  (* charged before retry k as base * 2^(k-1) *)
+let backoff_cap_ns = 1_000_000_000  (* cap on any single backoff charge *)
+let intensity = 5  (* faulted attempts tolerated inside the window *)
+let window_ns = 10_000
+let healthy_after_ns = 10_000  (* fault history forgotten after this *)
+let quarantine_ns = 20_000
 
 (* Overflow-safe exponential backoff: double attempt-1 times, saturating
    at the cap.  The former [backoff_ns * (1 lsl (attempt - 1))] went
-   negative past a 62-step shift (and far earlier for large [backoff_ns]),
-   which *credited* simulated time back to the clock. *)
-let backoff_for p ~attempt =
-  if p.backoff_ns <= 0 then 0
-  else begin
-    let cap = max p.max_backoff_ns 0 in
-    let rec go k v =
-      if k <= 0 || v >= cap then min v cap
-      else go (k - 1) (if v > max_int / 2 then max_int else v * 2)
-    in
-    go (attempt - 1) p.backoff_ns
-  end
+   negative past a 62-step shift, which *credited* simulated time back
+   to the clock. *)
+let backoff_for ~attempt =
+  let rec go k v =
+    if k <= 0 || v >= backoff_cap_ns then min v backoff_cap_ns
+    else go (k - 1) (if v > max_int / 2 then max_int else v * 2)
+  in
+  go (attempt - 1) backoff_base_ns
 
 type outcome =
   | Done of { value : int; attempts : int }
   | Gave_up of { attempts : int; last_fault : string }
-
-let outcome_to_string = function
-  | Done { value; attempts } -> Printf.sprintf "done value=%d attempts=%d" value attempts
-  | Gave_up { attempts; last_fault } ->
-      Printf.sprintf "gave up after %d attempts: %s" attempts last_fault
 
 (* ------------------------------------------------------------------ *)
 (* Attempts                                                            *)
@@ -88,19 +70,19 @@ let run_attempt ctx run =
    clock, so the new attempt is not cut for its predecessor's silence —
    through [on_restart], which fires after the backoff charge, just
    before the new attempt spawns. *)
-let supervise_gen ~policy:p ~on_fault ~on_restart ctx attempt =
+let supervise_gen ~max_restarts ~on_fault ~on_restart ctx attempt =
   let rec go n =
     match attempt () with
     | Ok value -> Done { value; attempts = n }
     | Error reason ->
         if not (on_fault ~attempt:n reason) then
           Gave_up { attempts = n; last_fault = "escalated: " ^ reason }
-        else if n <= p.max_restarts then begin
+        else if n <= max_restarts then begin
           Engine.stat ctx "supervisor.restart";
           Engine.trace_instant ctx "supervisor.restart";
-          (* Exponential backoff, charged to the simulated clock: 1x, 2x,
-             4x ... of [backoff_ns], saturating at [max_backoff_ns]. *)
-          Engine.charge_app ctx (backoff_for p ~attempt:n);
+          (* Exponential backoff, charged to the simulated clock: 100,
+             200, 400 ... ns, saturating at 1 s. *)
+          Engine.charge_app ctx (backoff_for ~attempt:n);
           on_restart ();
           go (n + 1)
         end
@@ -112,29 +94,29 @@ let supervise_gen ~policy:p ~on_fault ~on_restart ctx attempt =
   in
   go 1
 
-let supervise ?(policy = default_policy) ctx run =
-  supervise_gen ~policy
+let supervise ?(max_restarts = 0) ctx run =
+  supervise_gen ~max_restarts
     ~on_fault:(fun ~attempt:_ _ -> true)
     ~on_restart:(fun () -> ())
     ctx
     (fun () -> run_attempt ctx run)
 
-let supervise_sthread ?policy ?instr ctx sc fn arg =
-  supervise ?policy ctx (fun () -> Engine.sthread_create ?instr ctx sc fn arg)
+let supervise_sthread ?max_restarts ?instr ctx sc fn arg =
+  supervise ?max_restarts ctx (fun () -> Engine.sthread_create ?instr ctx sc fn arg)
 
-let supervise_fork ?policy ctx fn = supervise ?policy ctx (fun () -> Engine.fork ctx fn)
+let supervise_fork ?max_restarts ctx fn =
+  supervise ?max_restarts ctx (fun () -> Engine.fork ctx fn)
 
 (* ------------------------------------------------------------------ *)
 (* Supervision tree                                                    *)
 
 type health = Healthy | Degraded | Restarting | Quarantined
-type strategy = One_for_one | Rest_for_one
 
 (* Where a child's compartments come from: fresh fork-priced boots, or
    O(1) stamps from a frozen snapshot pool.  [From_pool] applies to every
-   attempt, so a restart after a quarantine escalation, a hang cut or
-   a [Rest_for_one] sweep pays the flat stamp cost instead of a boot that
-   scales with the image — the recovery path this module exists for. *)
+   attempt, so a restart after a quarantine escalation or a hang cut pays
+   the flat stamp cost instead of a boot that scales with the image — the
+   recovery path this module exists for. *)
 type restart = Fresh | From_pool of Pool.t
 
 let health_to_string = function
@@ -143,17 +125,8 @@ let health_to_string = function
   | Restarting -> "restarting"
   | Quarantined -> "quarantined"
 
-let strategy_to_string = function
-  | One_for_one -> "one-for-one"
-  | Rest_for_one -> "rest-for-one"
-
 type node = {
   n_name : string;
-  n_strategy : strategy;
-  n_intensity : int;  (* faulted attempts tolerated inside the window *)
-  n_window_ns : int;
-  n_healthy_after_ns : int;  (* fault history forgotten after this *)
-  n_quarantine_ns : int;
   n_ctx : Engine.ctx;
   mutable n_children : child list;  (* registration order, oldest first *)
 }
@@ -161,7 +134,7 @@ type node = {
 and child = {
   c_name : string;
   c_node : node;
-  c_policy : policy;
+  c_max_restarts : int;
   c_restart : restart;
   mutable c_health : health;
   mutable c_faults : int list;  (* fault timestamps inside the window, newest first *)
@@ -171,30 +144,16 @@ and child = {
   mutable c_restarts : int;  (* lifetime restart count, for summaries *)
 }
 
-let node ?(strategy = One_for_one) ?(intensity = 5) ?(window_ns = 10_000)
-    ?(healthy_after_ns = 10_000) ?(quarantine_ns = 20_000) ~name ctx =
-  if intensity < 0 then invalid_arg "Supervisor.node: intensity < 0";
-  if window_ns <= 0 || healthy_after_ns <= 0 || quarantine_ns <= 0 then
-    invalid_arg "Supervisor.node: windows must be positive";
-  {
-    n_name = name;
-    n_strategy = strategy;
-    n_intensity = intensity;
-    n_window_ns = window_ns;
-    n_healthy_after_ns = healthy_after_ns;
-    n_quarantine_ns = quarantine_ns;
-    n_ctx = ctx;
-    n_children = [];
-  }
+let node ~name ctx = { n_name = name; n_ctx = ctx; n_children = [] }
 
-let child ?(policy = default_policy) ?(restart = Fresh) node ~name =
+let child ?(max_restarts = 0) ?(restart = Fresh) node ~name =
   if List.exists (fun c -> c.c_name = name) node.n_children then
     invalid_arg ("Supervisor.child: duplicate child " ^ name);
   let c =
     {
       c_name = name;
       c_node = node;
-      c_policy = policy;
+      c_max_restarts = max_restarts;
       c_restart = restart;
       c_health = Healthy;
       c_faults = [];
@@ -207,10 +166,7 @@ let child ?(policy = default_policy) ?(restart = Fresh) node ~name =
   node.n_children <- node.n_children @ [ c ];
   c
 
-let child_name c = c.c_name
 let child_health c = c.c_health
-let child_restarts c = c.c_restarts
-let children n = List.map (fun c -> (c.c_name, c.c_health)) n.n_children
 
 (* A node is as sick as its sickest child. *)
 let node_health n =
@@ -237,7 +193,7 @@ let refresh c =
       Engine.stat n.n_ctx "supervisor.quarantine.lift";
       Engine.trace_instant n.n_ctx "supervisor.quarantine.lift"
   | _ -> ());
-  if c.c_faults <> [] && now - c.c_last_fault_ns >= n.n_healthy_after_ns then begin
+  if c.c_faults <> [] && now - c.c_last_fault_ns >= healthy_after_ns then begin
     c.c_faults <- [];
     if c.c_health = Degraded then c.c_health <- Healthy;
     Engine.stat n.n_ctx "supervisor.healthy_reset"
@@ -253,43 +209,23 @@ let quarantine c now reason =
      independent of image size, not just the spawn itself. *)
   let span =
     match c.c_restart with
-    | From_pool _ -> max 1 (n.n_quarantine_ns / 4)
-    | Fresh -> n.n_quarantine_ns
+    | From_pool _ -> quarantine_ns / 4
+    | Fresh -> quarantine_ns
   in
   c.c_quarantined_until <- now + span;
   c.c_last_fault <- reason;
   Engine.stat n.n_ctx "supervisor.escalated";
-  Engine.trace_instant n.n_ctx "supervisor.escalated";
-  match n.n_strategy with
-  | One_for_one -> ()
-  | Rest_for_one ->
-      (* Children registered after the escalating one restart with it:
-         their state may depend on the failed sibling, so their fault
-         history no longer means anything. *)
-      let rec later = function
-        | [] -> []
-        | c' :: rest when c' == c -> rest
-        | _ :: rest -> later rest
-      in
-      List.iter
-        (fun c' ->
-          if c'.c_health <> Quarantined then begin
-            c'.c_health <- Restarting;
-            c'.c_faults <- [];
-            c'.c_restarts <- c'.c_restarts + 1;
-            Engine.stat n.n_ctx "supervisor.rest_for_one"
-          end)
-        (later n.n_children)
+  Engine.trace_instant n.n_ctx "supervisor.escalated"
 
 (* Record one faulted attempt against the child's intensity window.
    Returns [false] — stop retrying — when the budget is exceeded. *)
 let note_fault c reason =
   let n = c.c_node in
   let now = now_of n in
-  c.c_faults <- now :: List.filter (fun t -> now - t <= n.n_window_ns) c.c_faults;
+  c.c_faults <- now :: List.filter (fun t -> now - t <= window_ns) c.c_faults;
   c.c_last_fault_ns <- now;
   c.c_last_fault <- reason;
-  if List.length c.c_faults > n.n_intensity then begin
+  if List.length c.c_faults > intensity then begin
     quarantine c now reason;
     false
   end
@@ -307,15 +243,17 @@ let run_child_gen ?(on_restart = fun () -> ()) c attempt =
   | _ ->
       let on_fault ~attempt reason =
         let retry = note_fault c reason in
-        (* Only an attempt the policy will actually retry counts as a
+        (* Only an attempt that will actually be retried counts as a
            restart; the final fault before a give-up does not. *)
-        if retry && attempt <= c.c_policy.max_restarts then begin
+        if retry && attempt <= c.c_max_restarts then begin
           c.c_health <- Restarting;
           c.c_restarts <- c.c_restarts + 1
         end;
         retry
       in
-      let outcome = supervise_gen ~policy:c.c_policy ~on_fault ~on_restart n.n_ctx attempt in
+      let outcome =
+        supervise_gen ~max_restarts:c.c_max_restarts ~on_fault ~on_restart n.n_ctx attempt
+      in
       (match outcome with
       | Done _ -> c.c_health <- (if c.c_faults = [] then Healthy else Degraded)
       | Gave_up _ -> if c.c_health <> Quarantined then c.c_health <- Degraded);
@@ -358,8 +296,7 @@ let run_child_fn ?on_restart c fn =
           Error (Option.get (Engine.fault_reason e)))
 
 let tree_to_string n =
-  Printf.sprintf "%s[%s %s]: %s" n.n_name
-    (strategy_to_string n.n_strategy)
+  Printf.sprintf "%s[%s]: %s" n.n_name
     (health_to_string (node_health n))
     (String.concat ", "
        (List.map

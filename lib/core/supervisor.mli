@@ -1,51 +1,34 @@
-(** Restart policies and supervision trees for compartments.
+(** Restart budgets and supervision trees for compartments.
 
     The engine contains a compartment crash (protection fault, SELinux
     denial, injected ENOMEM or channel fault) by terminating only that
     compartment; a supervisor decides what happens next.
 
-    The {e flat} layer ({!supervise} and friends) retries each faulted
-    attempt up to [max_restarts] times with exponential backoff charged to
-    the simulated clock; when the policy is exhausted the caller receives
-    {!Gave_up} and degrades the one affected connection (HTTP 500, POP3
-    [-ERR], SSH disconnect) while the listener lives on.
+    The {e flat} layer ({!supervise_sthread}, {!supervise_fork}) retries
+    each faulted attempt up to [max_restarts] times with exponential
+    backoff charged to the simulated clock; when the budget is exhausted
+    the caller receives {!Gave_up} and degrades the one affected
+    connection (HTTP 500, POP3 [-ERR], SSH disconnect) while the listener
+    lives on.
 
-    The {e tree} layer ({!node} / {!child} / {!run_child}) adds named
-    children with per-child {!health} state and a restart-intensity budget
-    (at most [intensity] faulted attempts per [window_ns] of simulated
-    time).  Exceeding the budget escalates to the node: the child is
-    {!Quarantined} — further runs are refused outright for
-    [quarantine_ns], so the caller degrades immediately instead of burning
-    a doomed spawn — and under {!Rest_for_one} every child registered
-    after it is marked {!Restarting} with its fault history cleared.  A
-    child that stays clean for [healthy_after_ns] has its fault history
-    forgotten, so an early crash cannot inflate a long-lived worker's
-    intensity forever.
+    The {e tree} layer ({!node} / {!child} / [run_child_*]) adds named
+    children with per-child {!health} state and one fixed restart-intensity
+    budget: at most 5 faulted attempts per 10 µs of simulated time.
+    Exceeding it escalates: the child is {!Quarantined} for 20 µs —
+    further runs are refused outright, so the caller degrades immediately
+    instead of burning a doomed spawn.  Siblings are never touched.  A
+    child that stays clean for 10 µs has its fault history forgotten, so
+    an early crash cannot inflate a long-lived worker's intensity forever.
 
     Kernel stats bumped: [supervisor.restart], [supervisor.gave_up],
-    [supervisor.escalated], [supervisor.rest_for_one],
-    [supervisor.quarantine.refused], [supervisor.quarantine.lift],
-    [supervisor.healthy_reset] — with matching trace instants for the
-    state transitions. *)
+    [supervisor.escalated], [supervisor.quarantine.refused],
+    [supervisor.quarantine.lift], [supervisor.healthy_reset] — with
+    matching trace instants for the state transitions. *)
 
-type policy = {
-  max_restarts : int;  (** retries after the first attempt *)
-  backoff_ns : int;  (** retry [k] charges [backoff_ns * 2^(k-1)] ns *)
-  max_backoff_ns : int;  (** saturation cap on any single backoff charge *)
-}
-
-val default_policy : policy
-(** No restarts: fail straight to degraded (right for workers whose input
-    stream is consumed by the failed attempt). *)
-
-val policy :
-  ?max_restarts:int -> ?backoff_ns:int -> ?max_backoff_ns:int -> unit -> policy
-(** [max_backoff_ns] defaults to 1s of simulated time. *)
-
-val backoff_for : policy -> attempt:int -> int
-(** The backoff charged after faulted attempt [attempt]: [backoff_ns]
-    doubled [attempt - 1] times, saturating (overflow-safely) at
-    [max_backoff_ns]. *)
+val backoff_for : attempt:int -> int
+(** The backoff charged after faulted attempt [attempt]: 100 ns doubled
+    [attempt - 1] times, saturating (overflow-safely) at 1 s of simulated
+    time. *)
 
 type outcome =
   | Done of { value : int; attempts : int }
@@ -57,99 +40,58 @@ type outcome =
           retries short, ["quarantined: "] when the run was refused
           without an attempt ([attempts = 0]). *)
 
-val outcome_to_string : outcome -> string
-
-val supervise :
-  ?policy:policy -> Engine.ctx -> (unit -> Engine.handle) -> outcome
-(** [supervise ctx run] runs attempts produced by [run] until one exits or
-    the policy gives up.  A contained fault raised by [run] itself (e.g.
-    a resource quota hit while creating the compartment) counts as a
-    faulted attempt with reason prefix ["create: "] — it never propagates
-    to the caller. *)
-
 val supervise_sthread :
-  ?policy:policy ->
+  ?max_restarts:int ->
   ?instr:Wedge_sim.Instr.t ->
   Engine.ctx ->
   Sc.t ->
   (Engine.ctx -> int -> int) ->
   int ->
   outcome
-(** {!supervise} over {!Engine.sthread_create}: each attempt is a fresh
-    default-deny sthread with grants [sc]. *)
+(** Run attempts, each a fresh default-deny sthread with grants [sc],
+    until one exits or [max_restarts] (default 0) retries have faulted.
+    A contained fault while creating the sthread (e.g. a resource quota
+    hit) counts as a faulted attempt with reason prefix ["create: "] — it
+    never propagates to the caller. *)
 
-val supervise_fork :
-  ?policy:policy -> Engine.ctx -> (Engine.ctx -> int) -> outcome
-(** {!supervise} over {!Engine.fork} (the privsep baseline's slave). *)
+val supervise_fork : ?max_restarts:int -> Engine.ctx -> (Engine.ctx -> int) -> outcome
+(** {!supervise_sthread} over {!Engine.fork} (the privsep baseline's
+    slave). *)
 
 (** {2 Supervision trees} *)
 
 type health = Healthy | Degraded | Restarting | Quarantined
 (** [Healthy]: no faults in the window.  [Degraded]: gave up (or still
     carrying window faults) but runnable.  [Restarting]: mid-retry, or
-    swept up by a sibling's rest-for-one escalation.  [Quarantined]:
-    intensity budget exceeded; runs are refused until the quarantine
-    expires. *)
-
-val health_to_string : health -> string
-
-type strategy = One_for_one | Rest_for_one
-(** What an escalation does to siblings: nothing ([One_for_one]), or mark
-    every {e later-registered} child [Restarting] with cleared fault
-    history ([Rest_for_one] — registration order is dependency order). *)
-
-val strategy_to_string : strategy -> string
+    just released from quarantine.  [Quarantined]: intensity budget
+    exceeded; runs are refused until the quarantine expires. *)
 
 type restart = Fresh | From_pool of Pool.t
 (** Where a child's compartments come from.  [Fresh] boots every attempt
     the fork-priced way ({!Engine.sthread_create} / {!Engine.fork}).
     [From_pool] stamps every attempt from a frozen snapshot image
     ({!Pool.stamp}) at a flat cost independent of image size — so
-    recovery after a quarantine escalation, a hang cut or a
-    [Rest_for_one] sweep is O(1), the [sc] passed to {!run_child_sthread}
-    riding along as the stamp's per-invocation extra grants.
+    recovery after a quarantine escalation or a hang cut is O(1), the
+    [sc] passed to {!run_child_sthread} riding along as the stamp's
+    per-invocation extra grants.
 
     Quarantine throttles crash loops, and its length is priced against
     what a futile restart costs: a [From_pool] child serves a quarter of
-    the node's [quarantine_ns], because re-admitting it wastes a flat
-    stamp rather than an O(pages) reboot.  Restart-intensity budgets
-    thereby stop depending on image size. *)
+    the quarantine (5 µs), because re-admitting it wastes a flat stamp
+    rather than an O(pages) reboot.  Restart-intensity budgets thereby
+    stop depending on image size. *)
 
 type node
 type child
 
-val node :
-  ?strategy:strategy ->
-  ?intensity:int ->
-  ?window_ns:int ->
-  ?healthy_after_ns:int ->
-  ?quarantine_ns:int ->
-  name:string ->
-  Engine.ctx ->
-  node
-(** A supervision node.  Defaults: [One_for_one], [intensity] 5 faulted
-    attempts per [window_ns] 10_000 ns, history reset after
-    [healthy_after_ns] 10_000 ns clean, [quarantine_ns] 20_000 ns.
-    @raise Invalid_argument on a negative intensity or non-positive
-    window. *)
+val node : name:string -> Engine.ctx -> node
+(** A supervision node under the fixed budget (see module doc). *)
 
-val child : ?policy:policy -> ?restart:restart -> node -> name:string -> child
-(** Register a named child (registration order is the [Rest_for_one]
-    dependency order).  [policy] governs each {!run_child}'s retries;
-    [restart] (default [Fresh]) selects fresh boots or pooled stamps.
+val child : ?max_restarts:int -> ?restart:restart -> node -> name:string -> child
+(** Register a named child.  [max_restarts] (default 0) bounds each run's
+    retries; [restart] (default [Fresh]) selects fresh boots or pooled
+    stamps.
     @raise Invalid_argument on a duplicate name within the node. *)
-
-val run_child :
-  ?on_restart:(unit -> unit) -> child -> (unit -> Engine.handle) -> outcome
-(** {!supervise} under the child's policy, plus tree accounting: every
-    faulted attempt lands in the intensity window; exceeding the budget
-    escalates (see module doc) and returns [Gave_up] with reason
-    ["escalated: ..."].  While quarantined, returns [Gave_up { attempts =
-    0; last_fault = "quarantined: ..." }] without running anything.
-    [on_restart] fires once per retry, after the backoff charge and
-    before the next attempt — the hook for per-attempt repair work such
-    as restarting the connection's idle clock, so the retry is not cut
-    for its predecessor's silence ({!Wedge_net.Guard.rearm}). *)
 
 val run_child_sthread :
   ?on_restart:(unit -> unit) ->
@@ -159,35 +101,38 @@ val run_child_sthread :
   (Engine.ctx -> int -> int) ->
   int ->
   outcome
-(** Under [From_pool], each attempt is {!Pool.stamp} with [sc] as the
-    extra grants; under [Fresh], {!Engine.sthread_create} as before. *)
+(** {!supervise_sthread} under the child's retries, plus tree
+    accounting: every faulted attempt lands in the intensity window;
+    exceeding the budget escalates (see module doc) and returns [Gave_up]
+    with reason ["escalated: ..."].  While quarantined, returns [Gave_up {
+    attempts = 0; last_fault = "quarantined: ..." }] without running
+    anything.  Under [From_pool], each attempt is {!Pool.stamp} with [sc]
+    as the extra grants; under [Fresh], {!Engine.sthread_create}.
+
+    [on_restart] fires once per retry, after the backoff charge and
+    before the next attempt — the hook for per-attempt repair work such
+    as restarting the connection's idle clock, so the retry is not cut
+    for its predecessor's silence ({!Wedge_net.Guard.rearm}). *)
 
 val run_child_fork :
   ?on_restart:(unit -> unit) -> ?pool_extra:Sc.t -> child -> (Engine.ctx -> int) -> outcome
-(** Under [From_pool], each attempt is a stamped sthread standing in for
-    the fork, with [pool_extra] carrying the grants the fork would have
-    inherited (typically the connection descriptor); [pool_extra] is
-    ignored under [Fresh]. *)
+(** {!run_child_sthread} over {!Engine.fork}.  Under [From_pool], each
+    attempt is a stamped sthread standing in for the fork, with
+    [pool_extra] carrying the grants the fork would have inherited
+    (typically the connection descriptor); [pool_extra] is ignored under
+    [Fresh]. *)
 
 val run_child_fn : ?on_restart:(unit -> unit) -> child -> (unit -> int) -> outcome
-(** {!run_child} over a plain function in the caller's process — the
-    shape of an accept loop: not a compartment, but restartable under the
-    same budget when a contained fault leaks out of the serve path. *)
+(** The same over a plain function in the caller's process — the shape
+    of an accept loop: not a compartment, but restartable under the same
+    budget when a contained fault leaks out of the serve path. *)
 
-val child_name : child -> string
 val child_health : child -> health
-val child_restarts : child -> int
-(** Lifetime restarts (including rest-for-one sweeps), for summaries. *)
 
 val quarantined_until : child -> int option
 (** Simulated-clock instant the quarantine lifts, while quarantined. *)
 
-val children : node -> (string * health) list
-(** Child names and health, in registration order. *)
-
-val node_health : node -> health
-(** The worst child health (a node is as sick as its sickest child). *)
-
 val tree_to_string : node -> string
-(** Deterministic one-line rendering, e.g.
-    ["httpd[one-for-one healthy]: listener=healthy/0, worker=degraded/3"]. *)
+(** Deterministic one-line rendering: the node's health (its sickest
+    child's) and each child's health and lifetime restarts, e.g.
+    ["httpd[healthy]: listener=healthy/0, worker=degraded/3"]. *)

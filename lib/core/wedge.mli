@@ -284,15 +284,6 @@ val add_endpoint : ctx -> Wedge_kernel.Fd_table.endpoint -> Wedge_kernel.Fd_tabl
 val fd_read : ctx -> int -> int -> bytes
 val fd_write : ctx -> int -> bytes -> unit
 
-val fd_read_into : ctx -> int -> addr:int -> int -> int
-(** [fd_read_into ctx fd ~addr n] reads up to [n] bytes from [fd] straight
-    into the caller's memory at [addr] (checked bulk write: one
-    translation per page, atomic across pages).  Returns the byte count. *)
-
-val fd_write_from : ctx -> int -> addr:int -> len:int -> unit
-(** [fd_write_from ctx fd ~addr ~len] writes [len] bytes read straight
-    from the caller's memory at [addr] to [fd]. *)
-
 val fd_readv : ctx -> int -> (int * int) array -> int
 (** [fd_readv ctx fd iovs] scatters the stream into the [(addr, len)]
     runs in order, through ONE kernel entry — one trap/fuel/trace charge
@@ -302,12 +293,6 @@ val fd_readv : ctx -> int -> (int * int) array -> int
     the caller's pages; others are scattered over byte reads.  Returns
     the byte total; [0] means EOF.  A protection fault on run [k] leaves
     runs [< k] delivered (a short readv) — never a torn run. *)
-
-val fd_writev : ctx -> int -> (int * int) array -> int
-(** [fd_writev ctx fd iovs] gathers the [(addr, len)] runs and sends them
-    as one burst (one kernel entry, batch-priced).  All runs are read out
-    of the caller's memory {e before} any byte is sent, so a protection
-    fault mid-vector delivers nothing.  Returns the byte total. *)
 
 val fd_close : ctx -> int -> unit
 val vfs_read : ctx -> string -> (string, Wedge_kernel.Vfs.error) result

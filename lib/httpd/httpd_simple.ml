@@ -292,7 +292,7 @@ let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit
       in
       let worker_status, degraded, attempts =
         Server.run_worker ~name:"httpd" ~farewell ~guard ~supervised
-          ~policy:Supervisor.default_policy main ep (Server.Sthread (worker_sc, worker_main))
+          ~max_restarts:0 main ep (Server.Sthread (worker_sc, worker_main))
       in
       cleanup ();
       {
@@ -309,7 +309,7 @@ include Server.Make (struct
 
   let name = "httpd"
   let worker = "worker"
-  let worker_policy = Supervisor.policy ~max_restarts:1 ()
+  let worker_restarts = 1
   let main (env : Httpd_env.t) = env.Httpd_env.main
 
   (* The worker's boot identity: uid 33 inside the docroot chroot, under

@@ -21,9 +21,8 @@ type endpoint = {
          Called BEFORE the syscall trap, so a blocked read charges no
          fuel while idle. *)
   ep_readv : Vm.t -> (int * int) array -> int;
-  ep_writev : Vm.t -> (int * int) array -> int;
-      (* vectored kernel-copy paths: (addr, len) runs moved directly
-         between the channel and the given address space in one batched
+      (* vectored kernel-copy read: (addr, len) runs filled directly
+         from the channel into the given address space in one batched
          call *)
 }
 

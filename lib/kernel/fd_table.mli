@@ -29,8 +29,7 @@ type endpoint = {
           cut).  The engine calls it {e before} the syscall trap, so a
           blocked read charges no fuel while idle. *)
   ep_readv : Vm.t -> (int * int) array -> int;
-  ep_writev : Vm.t -> (int * int) array -> int;
-      (** vectored kernel-copy paths over [(addr, len)] runs in the given
+      (** vectored kernel-copy read over [(addr, len)] runs in the given
           address space *)
 }
 

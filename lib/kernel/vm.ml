@@ -517,11 +517,6 @@ let write_bytes_raw t addr src =
     blit_write_atomic t addr src 0 len true
   end
 
-let read_bytes_kernel_raw t addr len =
-  let buf = Bytes.create len in
-  blit_read_pages t addr buf 0 len false;
-  buf
-
 let write_bytes_kernel_raw t addr src = blit_write_atomic t addr src 0 (Bytes.length src) false
 
 (* Multi-byte accessors: translate once when the value sits inside a page
@@ -633,13 +628,13 @@ let enc8 v =
   Bytes.set_int64_le b 0 (Int64.logand (Int64.of_int v) u64_store_mask);
   b
 
-let armed_read t r addr ~kernel ~u64 enc f =
+let armed_read t r addr ~u64 enc f =
   match f () with
   | v ->
-      r (Ev_read { pid = t.pid; addr; value = enc v; kernel; u64 });
+      r (Ev_read { pid = t.pid; addr; value = enc v; kernel = false; u64 });
       v
   | exception Fault ft ->
-      r (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason; kernel });
+      r (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason; kernel = false });
       raise (Fault ft)
 
 let armed_write t r addr ~kernel enc f =
@@ -652,7 +647,7 @@ let armed_write t r addr ~kernel enc f =
 let read_u8 t addr =
   match !(t.recorder) with
   | None -> read_u8_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc1 (fun () -> read_u8_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc1 (fun () -> read_u8_raw t addr)
 
 let write_u8 t addr v =
   match !(t.recorder) with
@@ -663,7 +658,7 @@ let write_u8 t addr v =
 let read_u16 t addr =
   match !(t.recorder) with
   | None -> read_u16_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc2 (fun () -> read_u16_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc2 (fun () -> read_u16_raw t addr)
 
 let write_u16 t addr v =
   match !(t.recorder) with
@@ -674,7 +669,7 @@ let write_u16 t addr v =
 let read_u32 t addr =
   match !(t.recorder) with
   | None -> read_u32_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc4 (fun () -> read_u32_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc4 (fun () -> read_u32_raw t addr)
 
 let write_u32 t addr v =
   match !(t.recorder) with
@@ -685,7 +680,7 @@ let write_u32 t addr v =
 let read_u64 t addr =
   match !(t.recorder) with
   | None -> read_u64_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:true enc8 (fun () -> read_u64_raw t addr)
+  | Some r -> armed_read t r addr ~u64:true enc8 (fun () -> read_u64_raw t addr)
 
 let write_u64 t addr v =
   match !(t.recorder) with
@@ -696,7 +691,7 @@ let write_u64 t addr v =
 let read_bytes t addr len =
   match !(t.recorder) with
   | None -> read_bytes_raw t addr len
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false Bytes.copy (fun () -> read_bytes_raw t addr len)
+  | Some r -> armed_read t r addr ~u64:false Bytes.copy (fun () -> read_bytes_raw t addr len)
 
 let write_bytes t addr src =
   match !(t.recorder) with
@@ -705,12 +700,6 @@ let write_bytes t addr src =
       armed_write t r addr ~kernel:false
         (fun () -> Bytes.copy src)
         (fun () -> write_bytes_raw t addr src)
-
-let read_bytes_kernel t addr len =
-  match !(t.recorder) with
-  | None -> read_bytes_kernel_raw t addr len
-  | Some r ->
-      armed_read t r addr ~kernel:true ~u64:false Bytes.copy (fun () -> read_bytes_kernel_raw t addr len)
 
 let write_bytes_kernel t addr src =
   match !(t.recorder) with

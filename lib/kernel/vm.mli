@@ -241,9 +241,6 @@ val tlb_check : t -> string list
 
 (** {2 Unchecked access (kernel use only)} *)
 
-val read_bytes_kernel : t -> int -> int -> bytes
-(** Bypasses protection checks (still faults on unmapped pages). *)
-
 val write_bytes_kernel : t -> int -> bytes -> unit
 (** Bypasses protection checks but still performs COW breaks, so kernel
     writes never corrupt shared pristine frames.  Atomic across pages,

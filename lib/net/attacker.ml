@@ -15,20 +15,9 @@ let try_read ctx ~addr ~len =
   | s -> Ok s
   | exception Vm.Fault f -> Error (Vm.fault_to_string f)
 
-let try_write ctx ~addr data =
-  match W.write_string ctx addr data with
-  | () -> Ok ()
-  | exception Vm.Fault f -> Error (Vm.fault_to_string f)
-
 let steal_tag ctx loot ~label (tag : Tag.t) =
   match try_read ctx ~addr:tag.Tag.base ~len:(Tag.size_bytes tag) with
   | Ok data ->
       grab loot ~label data;
       true
   | Error _ -> false
-
-let probe_tags ctx tags =
-  List.map
-    (fun (tag : Tag.t) ->
-      (tag.Tag.name, Result.is_ok (try_read ctx ~addr:tag.Tag.base ~len:1)))
-    tags

@@ -18,12 +18,7 @@ val try_read : Wedge_core.Wedge.ctx -> addr:int -> len:int -> (string, string) r
 (** Attempt a read with the compartment's privileges; [Error reason] if the
     MMU stops it. *)
 
-val try_write : Wedge_core.Wedge.ctx -> addr:int -> string -> (unit, string) result
-
 val steal_tag :
   Wedge_core.Wedge.ctx -> loot -> label:string -> Wedge_mem.Tag.t -> bool
 (** Dump a whole tag segment into the loot if readable; [false] when the
     compartment is (correctly) denied. *)
-
-val probe_tags : Wedge_core.Wedge.ctx -> Wedge_mem.Tag.t list -> (string * bool) list
-(** Which of the given tags the compartment can read (tag name, readable). *)

@@ -22,50 +22,27 @@ module Reactor = Wedge_sim.Reactor
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker                                                     *)
 
-(* Per-backend breaker over worker outcomes ([report]).  Closed → Open on
-   either [bc_consecutive] straight failures or a failure rate of at
-   least [bc_rate] over [bc_min_samples]+ outcomes inside [bc_window_ns];
-   Open sheds every admission for [bc_open_ns]; Half_open lets
-   [bc_probes] probe connections through — all succeeding closes the
-   breaker, any failing reopens it.  While still Closed but with the
-   window failure rate at [bc_brownout] or above, every second admission
-   is shed (brownout): partial load shedding before the full trip. *)
+(* Per-backend breaker over worker outcomes ([report]), one fixed
+   configuration.  Closed → Open on either [streak] straight failures or a
+   failure rate of at least [trip_rate] over [min_samples]+ outcomes
+   inside [window_ns]; Open sheds every admission for [open_ns];
+   Half_open lets [probes] probe connections through — all succeeding
+   closes the breaker, any failing reopens it.  While still Closed but
+   with the window failure rate at [brownout] or above, every second
+   admission is shed (brownout): partial load shedding before the full
+   trip. *)
 
 type breaker_state = Closed | Open | Half_open
 
-let breaker_state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
-type breaker_config = {
-  bc_consecutive : int;
-  bc_rate : float;
-  bc_min_samples : int;
-  bc_window_ns : int;
-  bc_open_ns : int;
-  bc_probes : int;
-  bc_brownout : float;
-}
-
-let breaker_config ?(consecutive = 3) ?(rate = 0.5) ?(min_samples = 8)
-    ?(window_ns = 20_000) ?(open_ns = 10_000) ?(probes = 2) ?(brownout = 0.25) () =
-  if consecutive <= 0 || min_samples <= 0 || probes <= 0 then
-    invalid_arg "Guard.breaker_config: thresholds must be positive";
-  if window_ns <= 0 || open_ns <= 0 then
-    invalid_arg "Guard.breaker_config: windows must be positive";
-  {
-    bc_consecutive = consecutive;
-    bc_rate = rate;
-    bc_min_samples = min_samples;
-    bc_window_ns = window_ns;
-    bc_open_ns = open_ns;
-    bc_probes = probes;
-    bc_brownout = brownout;
-  }
+let streak = 3
+let trip_rate = 0.5
+let min_samples = 6
+let window_ns = 40_000
+let open_ns = 5_000
+let probes = 2
+let brownout = 0.3
 
 type breaker = {
-  bcfg : breaker_config;
   mutable b_state : breaker_state;
   mutable b_events : (int * bool) list;  (* (ns, ok) outcomes, newest first *)
   mutable b_consecutive : int;  (* current failure streak *)
@@ -137,14 +114,14 @@ type stats = {
   s_breaker_opened : int;
 }
 
-let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?(trace = Trace.null) ~reactor
-    ~max_conns () =
+let create ?header_deadline_ns ?idle_deadline_ns ?(breaker = false) ?(trace = Trace.null)
+    ~reactor ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
   let breaker =
-    Option.map
-      (fun bcfg ->
+    if not breaker then None
+    else
+      Some
         {
-          bcfg;
           b_state = Closed;
           b_events = [];
           b_consecutive = 0;
@@ -156,8 +133,7 @@ let create ?header_deadline_ns ?idle_deadline_ns ?breaker ?(trace = Trace.null) 
           b_opened = 0;
           b_shed = 0;
           b_reactions = [];
-        })
-      breaker
+        }
   in
   {
     max_conns;
@@ -184,10 +160,10 @@ let now t = Clock.now (Reactor.clock t.reactor)
 let guard_pid = 0
 
 (* Clock-driven breaker transition: an open breaker ages into half-open
-   once [bc_open_ns] has passed — checked lazily at every admission and
+   once [open_ns] has passed — checked lazily at every admission and
    report, so no timer fiber is needed. *)
 let breaker_tick t b =
-  if b.b_state = Open && now t - b.b_opened_at >= b.bcfg.bc_open_ns then begin
+  if b.b_state = Open && now t - b.b_opened_at >= open_ns then begin
     b.b_state <- Half_open;
     b.b_probes_admitted <- 0;
     b.b_probe_successes <- 0;
@@ -196,7 +172,7 @@ let breaker_tick t b =
 
 let prune_events t b =
   let n = now t in
-  b.b_events <- List.filter (fun (ts, _) -> n - ts <= b.bcfg.bc_window_ns) b.b_events
+  b.b_events <- List.filter (fun (ts, _) -> n - ts <= window_ns) b.b_events
 
 (* Window failure rate; NaN-free: no samples means rate 0. *)
 let failure_rate b =
@@ -221,7 +197,7 @@ let breaker_decision t =
       match b.b_state with
       | Open -> `Shed
       | Half_open ->
-          if b.b_probes_admitted >= b.bcfg.bc_probes then `Shed
+          if b.b_probes_admitted >= probes then `Shed
           else begin
             b.b_probes_admitted <- b.b_probes_admitted + 1;
             `Admit true
@@ -229,8 +205,7 @@ let breaker_decision t =
       | Closed ->
           prune_events t b;
           if
-            List.length b.b_events >= b.bcfg.bc_min_samples
-            && failure_rate b >= b.bcfg.bc_brownout
+            List.length b.b_events >= min_samples && failure_rate b >= brownout
           then begin
             (* Brownout: deterministic alternation, not a coin flip —
                every second admission is shed while the backend flaps. *)
@@ -375,7 +350,7 @@ let report c ~ok =
           b.b_first_failure_ns <- -1;
           if b.b_state = Half_open && c.is_probe then begin
             b.b_probe_successes <- b.b_probe_successes + 1;
-            if b.b_probe_successes >= b.bcfg.bc_probes then begin
+            if b.b_probe_successes >= probes then begin
               b.b_state <- Closed;
               b.b_events <- [];
               b.b_brownout_tick <- 0;
@@ -408,9 +383,8 @@ let report c ~ok =
               trip ~fresh_detection:false
           | Closed ->
               if
-                b.b_consecutive >= b.bcfg.bc_consecutive
-                || List.length b.b_events >= b.bcfg.bc_min_samples
-                   && failure_rate b >= b.bcfg.bc_rate
+                b.b_consecutive >= streak
+                || (List.length b.b_events >= min_samples && failure_rate b >= trip_rate)
               then trip ~fresh_detection:true
           | Open -> ()
         end
@@ -426,7 +400,7 @@ let breaker_summary t =
   | None -> "-"
   | Some b ->
       Printf.sprintf "%s opened=%d shed=%d"
-        (breaker_state_to_string b.b_state)
+        (match b.b_state with Closed -> "closed" | Open -> "open" | Half_open -> "half-open")
         b.b_opened b.b_shed
 
 let release c =
@@ -499,7 +473,6 @@ let endpoint c =
           n
         end
         else 0);
-    ep_writev = (fun vm iovs -> Chan.writev c.ep vm iovs);
   }
 
 let accept_loop t l ~reject ~serve =

@@ -16,39 +16,19 @@
     can restart.
 
     Optionally, a per-backend {e circuit breaker} over reported worker
-    outcomes: closed → open on a consecutive-failure streak or a window
-    failure rate, open sheds every admission ({!decision} [Shed]) for a
-    cooling period, then half-open lets a few probes through — all
-    succeeding closes it, any failing reopens it.  Below the trip point,
-    a window failure rate at the brownout threshold sheds every second
-    admission (partial load shedding while the backend flaps). *)
+    outcomes, in one fixed configuration: closed → open on 3 straight
+    failures, or on a failure rate of at least 0.5 over at least 6
+    outcomes within 40 µs of simulated time.  Open sheds every admission
+    ({!decision} [Shed]) for 5 µs, then half-open lets 2 probes through —
+    both succeeding closes it, any failing reopens it.  Below the trip
+    point, a window failure rate of at least 0.3 (again over at least 6
+    outcomes) sheds every second admission (partial load shedding while
+    the backend flaps). *)
 
 type t
 type conn
 
 type breaker_state = Closed | Open | Half_open
-
-val breaker_state_to_string : breaker_state -> string
-
-type breaker_config
-
-val breaker_config :
-  ?consecutive:int ->
-  ?rate:float ->
-  ?min_samples:int ->
-  ?window_ns:int ->
-  ?open_ns:int ->
-  ?probes:int ->
-  ?brownout:float ->
-  unit ->
-  breaker_config
-(** Trip on [consecutive] (default 3) straight failures, or a failure
-    rate of [rate] (default 0.5) over at least [min_samples] (default 8)
-    outcomes within [window_ns] (default 20_000) of simulated time.  Stay
-    open for [open_ns] (default 10_000), then admit [probes] (default 2)
-    half-open probes.  Brownout-shed every second admission while the
-    window failure rate is at least [brownout] (default 0.25).
-    @raise Invalid_argument on non-positive thresholds or windows. *)
 
 type decision = Admitted of conn | Busy | Draining | Shed
 
@@ -66,7 +46,7 @@ type stats = {
 val create :
   ?header_deadline_ns:int ->
   ?idle_deadline_ns:int ->
-  ?breaker:breaker_config ->
+  ?breaker:bool ->
   ?trace:Wedge_sim.Trace.t ->
   reactor:Wedge_sim.Reactor.t ->
   max_conns:int ->
@@ -78,7 +58,8 @@ val create :
     delivered byte — since admission, the last delivered byte,
     {!established} or {!rearm} — and its cut also cancels the serve
     fiber {!accept_loop} runs the connection in.  For {!accept_loop}'s
-    connections both deadlines start when that fiber does.  [trace] records
+    connections both deadlines start when that fiber does.  [breaker]
+    (default [false]) arms the circuit breaker.  [trace] records
     admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"]), drain spans, and breaker transitions
@@ -136,9 +117,8 @@ val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
     park for data, and return EOF once the connection is overdue or cut
     (a deadline timer aborts the channel, which wakes the park).  The
     endpoint's [ep_wait] parks {e before} the syscall trap (an idle
-    connection charges zero syscall fuel), and the vectored
-    [ep_readv]/[ep_writev] paths carry the same deadline bookkeeping as
-    reads. *)
+    connection charges zero syscall fuel), and the vectored [ep_readv]
+    path carries the same deadline bookkeeping as reads. *)
 
 val accept_loop :
   t ->

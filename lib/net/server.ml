@@ -13,7 +13,7 @@ module type S = sig
 
   val name : string
   val worker : string
-  val worker_policy : Supervisor.policy
+  val worker_restarts : int
   val main : env -> W.ctx
   val identity : env -> Wedge_core.Sc.t
   val reject : string option
@@ -49,17 +49,17 @@ let degrade ~name ~farewell main ep =
   | Some msg -> ( try Chan.write_string ep msg with _ -> ())
   | None -> ()
 
-let run_worker ~name ~farewell ~guard ~supervised ~policy main ep worker =
+let run_worker ~name ~farewell ~guard ~supervised ~max_restarts main ep worker =
   (* A retry must not be cut for its predecessor's silence: each one
      restarts the connection's idle clock. *)
   let on_restart = Option.map (fun c () -> Guard.rearm c) guard in
   let outcome =
     match (supervised, worker) with
     | Some child, Sthread (sc, body) -> Supervisor.run_child_sthread ?on_restart child sc body 0
-    | None, Sthread (sc, body) -> Supervisor.supervise_sthread ~policy main sc body 0
+    | None, Sthread (sc, body) -> Supervisor.supervise_sthread ~max_restarts main sc body 0
     | Some child, Fork (inherited, body) ->
         Supervisor.run_child_fork ?on_restart ~pool_extra:inherited child body
-    | None, Fork (_, body) -> Supervisor.supervise_fork ~policy main body
+    | None, Fork (_, body) -> Supervisor.supervise_fork ~max_restarts main body
   in
   match outcome with
   | Supervisor.Done { value; attempts } -> (Process.Exited value, false, attempts)
@@ -83,17 +83,13 @@ module Make (S : S) = struct
         W.free ctx p)
       (S.main env) (S.identity env)
 
-  (* The listener is registered first: a rest-for-one escalation of the
-     listener also restarts the workers, never the reverse. *)
   let supervision_tree ?pool env =
     let node = Supervisor.node ~name:S.name (S.main env) in
-    let listener =
-      Supervisor.child ~policy:(Supervisor.policy ~max_restarts:2 ()) node ~name:"listener"
-    in
+    let listener = Supervisor.child ~max_restarts:2 node ~name:"listener" in
     let restart =
       match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
     in
-    let worker = Supervisor.child ~policy:S.worker_policy ~restart node ~name:S.worker in
+    let worker = Supervisor.child ~max_restarts:S.worker_restarts ~restart node ~name:S.worker in
     (node, listener, worker)
 
   (* Under [supervision] the accept loop itself runs as the "listener"

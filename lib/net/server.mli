@@ -27,8 +27,8 @@ module type S = sig
   (** The per-connection compartment's child name (["worker"], or the
       privsep ["slave"]); the snapshot pool is named [<name>.<worker>]. *)
 
-  val worker_policy : Wedge_core.Supervisor.policy
-  (** Retry policy of the tree's worker child. *)
+  val worker_restarts : int
+  (** Retries per run of the tree's worker child. *)
 
   val main : env -> Wedge_core.Wedge.ctx
   (** The trusted main context: supervision node owner, stat target,
@@ -67,8 +67,8 @@ module type SERVE = sig
 
   val supervision_tree : ?pool:Wedge_core.Pool.t -> env -> tree
   (** The declared topology: node {!S.name} with children ["listener"]
-      (registered first, two accept-loop retries) and {!S.worker} (policy
-      {!S.worker_policy}).  With [pool] every worker attempt is stamped
+      (two accept-loop retries) and {!S.worker} ({!S.worker_restarts}
+      retries).  With [pool] every worker attempt is stamped
       from the frozen image instead of paying a fork-priced boot. *)
 
   val serve_loop :
@@ -102,15 +102,16 @@ val run_worker :
   farewell:string option ->
   guard:Guard.conn option ->
   supervised:Wedge_core.Supervisor.child option ->
-  policy:Wedge_core.Supervisor.policy ->
+  max_restarts:int ->
   Wedge_core.Wedge.ctx ->
   Chan.ep ->
   worker ->
   Wedge_kernel.Process.status * bool * int
 (** Run one connection's worker under [supervised] (the tree child's
-    policy and budget) or else the flat [policy], restarting the
-    [guard]'s idle clock ({!Guard.rearm}) before each retry.  Returns [(status, degraded, attempts)]; on
-    give-up the connection is {!degrade}d first. *)
+    retries and budget) or else with [max_restarts] flat retries,
+    restarting the [guard]'s idle clock ({!Guard.rearm}) before each
+    retry.  Returns [(status, degraded, attempts)]; on give-up the
+    connection is {!degrade}d first. *)
 
 val degrade : name:string -> farewell:string option -> Wedge_core.Wedge.ctx -> Chan.ep -> unit
 (** Count [<name>.degraded] and send [farewell], if any, best-effort (the

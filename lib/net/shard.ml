@@ -312,7 +312,6 @@ let gtag_new ?(name = "gtag") ?pages t =
     replicas;
   g
 
-let gtag_id g = g.g_gid
 let gtag_live g = g.g_live
 let replica g ~sid = g.g_replicas.(sid)
 
@@ -384,12 +383,11 @@ let shard_hash key =
 let route t ~key = shard_hash key mod n t
 
 type front = {
-  f_fab : t;
   f_listeners : Chan.listener array;
   f_guards : Guard.t array;
 }
 
-let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ~max_conns t =
+let front ?costs ?faults ?backlog ?header_deadline_ns ~max_conns t =
   let listeners =
     Array.map
       (fun s -> Chan.listener ~clock:s.kernel.Kernel.clock ?costs ?faults ?backlog ())
@@ -397,18 +395,13 @@ let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ~max_conns t =
   in
   let guards =
     Array.map
-      (fun s -> Guard.create ?header_deadline_ns ?breaker ~reactor:s.reactor ~max_conns ())
+      (fun s -> Guard.create ?header_deadline_ns ~reactor:s.reactor ~max_conns ())
       t.shards
   in
-  { f_fab = t; f_listeners = listeners; f_guards = guards }
+  { f_listeners = listeners; f_guards = guards }
 
-let front_fabric f = f.f_fab
 let front_listener f sid = f.f_listeners.(sid)
 let front_guard f sid = f.f_guards.(sid)
-
-let front_connect f ~key =
-  let sid = route f.f_fab ~key in
-  (sid, Chan.connect f.f_listeners.(sid))
 
 let front_drain f =
   Array.iteri (fun sid g -> Guard.drain g f.f_listeners.(sid)) f.f_guards

@@ -78,7 +78,6 @@ val gtag_new : ?name:string -> ?pages:int -> t -> gtag
 (** Replicate a fresh tag on every shard (via each shard's main
     context). *)
 
-val gtag_id : gtag -> int
 val gtag_live : gtag -> bool
 
 val replica : gtag -> sid:int -> Wedge_mem.Tag.t
@@ -120,21 +119,14 @@ val front :
   ?faults:Wedge_fault.Fault_plan.t ->
   ?backlog:int ->
   ?header_deadline_ns:int ->
-  ?breaker:Guard.breaker_config ->
   max_conns:int ->
   t ->
   front
 (** Per-shard listener + {!Guard} on the shard's reactor; [max_conns] is
     per shard.  [costs] and [faults] apply to the listeners' channels. *)
 
-val front_fabric : front -> t
 val front_listener : front -> int -> Chan.listener
 val front_guard : front -> int -> Guard.t
-
-val front_connect : front -> key:string -> int * Chan.ep
-(** Hash [key] to a shard and connect to its listener; returns the shard
-    id with the client endpoint.
-    @raise Chan.Refused when that shard's backlog is full. *)
 
 val front_drain : front -> unit
 (** {!Guard.drain} every shard's guard against its listener. *)

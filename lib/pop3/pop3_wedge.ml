@@ -177,8 +177,10 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
 
 let farewell = Some "-ERR internal server error, closing\r\n"
 
-let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts:1 ())
-    ?supervised ?guard ?max_line ?synth main ep =
+(* POP3 is line-oriented: a fresh handler can greet the client again. *)
+let worker_restarts = 1
+
+let serve_connection ?exploit ?supervised ?guard ?max_line ?synth main ep =
   (* Guard the master's own per-connection setup: an injected fault during
      tag creation must degrade this connection, not kill the accept loop. *)
   let created = ref [] in
@@ -304,8 +306,8 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts
         Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:[ ("conn", fd) ] worker_body
       in
       let worker_status, degraded, attempts =
-        Server.run_worker ~name:"pop3" ~farewell ~guard ~supervised ~policy:restart_policy
-          main ep (Server.Sthread (worker_sc, worker_main))
+        Server.run_worker ~name:"pop3" ~farewell ~guard ~supervised
+          ~max_restarts:worker_restarts main ep (Server.Sthread (worker_sc, worker_main))
       in
       cleanup ();
       {
@@ -323,8 +325,7 @@ include Server.Make (struct
   let name = "pop3"
   let worker = "worker"
 
-  (* POP3 is line-oriented: a fresh handler can greet the client again. *)
-  let worker_policy = Supervisor.policy ~max_restarts:1 ()
+  let worker_restarts = worker_restarts
   let main ctx = ctx
 
   (* The handler's boot identity: uid 99 in an empty chroot. *)

@@ -29,7 +29,6 @@ type conn_debug = {
 
 val serve_connection :
   ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   ?max_line:int ->
@@ -43,10 +42,10 @@ val serve_connection :
 
     Fault containment: a crash anywhere in this connection degrades only
     this connection (best-effort [-ERR] farewell, [pop3.degraded] counter)
-    and never reaches the caller.  [restart_policy] defaults to one retry —
-    POP3 is line-oriented, so a fresh handler can greet the client again.
+    and never reaches the caller.  The handler gets one retry — POP3 is
+    line-oriented, so a fresh handler can greet the client again.
     [supervised] runs the handler under a supervision-tree child instead
-    (its policy and intensity budget override [restart_policy]).
+    (its retries and intensity budget apply).
 
     Resource governance: [guard] makes the handler read through the
     deadline-aware endpoint and marks the session established on a

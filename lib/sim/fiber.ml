@@ -110,9 +110,6 @@ let check_cancel s =
       raise (Cancelled reason)
   | None -> ()
 
-let cancel_pending id =
-  match !current with None -> false | Some s -> Hashtbl.mem s.cancelled id
-
 (* An induced hang (site "fiber.stall", kind [Delay ns]): burn [ns] of
    simulated time across several yields.  Each resume checks for
    cancellation first, so a hang cut that cancels the stalled fiber turns

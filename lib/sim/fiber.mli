@@ -147,8 +147,5 @@ val cancel : ?reason:string -> int -> unit
     context) — where a guard's idle-deadline timer fires.  No-op outside {!run}; marking an already-marked
     fiber keeps the first reason. *)
 
-val cancel_pending : int -> bool
-(** True while fiber [id] has an undelivered cancellation mark. *)
-
 val fiber_id : unit -> int
 (** The id of the running fiber (main is 0); 0 outside {!run}. *)

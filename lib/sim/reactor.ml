@@ -109,8 +109,6 @@ let handle r ~name =
   bind r h;
   h
 
-let handle_name h = h.h_name
-
 let remove_waiter h w =
   h.h_waiters <- List.filter (fun x -> x != w) h.h_waiters;
   match h.h_r with

@@ -45,8 +45,6 @@ val bind : t -> handle -> unit
     waiters (those already parked included).  Idempotent: a handle stays
     with the first reactor it was bound to. *)
 
-val handle_name : handle -> string
-
 val wait :
   ?on_stall:(unit -> unit) -> handle -> what:string -> ready:(unit -> bool) -> unit
 (** Park the calling fiber until [ready ()] — re-checked after every

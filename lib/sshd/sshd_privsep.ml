@@ -158,7 +158,7 @@ let serve ?exploit ~supervised ~guard (env : Sshd_env.t) ep =
      plaintext: the degraded answer is a disconnect, monitor intact. *)
   let _, degraded, _ =
     Server.run_worker ~name:"sshd" ~farewell:None ~guard ~supervised
-      ~policy:Supervisor.default_policy main ep (Server.Fork (inherited, slave_main))
+      ~max_restarts:0 main ep (Server.Fork (inherited, slave_main))
   in
   W.fd_close main fd;
   Chan.close ep;
@@ -172,7 +172,7 @@ include Server.Make (struct
 
   let name = "sshd"
   let worker = "slave"
-  let worker_policy = Supervisor.default_policy
+  let worker_restarts = 0
   let main (env : Sshd_env.t) = env.Sshd_env.main
 
   (* The pooled slave keeps the monitor's identity: a stamped slave drops

@@ -104,7 +104,7 @@ let test_supervisor_recovers_from_injected_enomem () =
   let attempt = ref 0 in
   let outcome =
     Supervisor.supervise_sthread
-      ~policy:(Supervisor.policy ~max_restarts:1 ())
+      ~max_restarts:1
       main (W.sc_create ())
       (fun ctx _ ->
         incr attempt;
@@ -185,7 +185,7 @@ let test_supervisor_backoff_schedule () =
   let t0 = Clock.now k.Kernel.clock in
   let outcome =
     Supervisor.supervise_sthread
-      ~policy:(Supervisor.policy ~max_restarts:3 ~backoff_ns:100 ())
+      ~max_restarts:3
       main (W.sc_create ())
       (fun _ _ -> raise (Fault_plan.Injected "always crashes"))
       0
@@ -348,7 +348,7 @@ let test_frame_quota_contained_and_supervised () =
   W.sc_set_rlimit sc (Rlimit.create ~max_frames:64 ());
   let outcome =
     Supervisor.supervise_sthread
-      ~policy:(Supervisor.policy ~max_restarts:2 ~backoff_ns:100 ())
+      ~max_restarts:2
       main sc
       (fun ctx _ ->
         let b = W.malloc ctx 4096 in

@@ -384,7 +384,7 @@ let test_refused_contained_under_supervision () =
       outcome :=
         Some
           (Wedge_core.Supervisor.supervise_sthread
-             ~policy:(Wedge_core.Supervisor.policy ~max_restarts:1 ())
+             ~max_restarts:1
              main (W.sc_create ())
              (fun _ctx _ ->
                ignore (Chan.connect l);

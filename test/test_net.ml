@@ -213,50 +213,17 @@ let test_mitm_captures_both_directions () =
   check Alcotest.string "c2s" "question" (Mitm.captured mitm Mitm.Client_to_server);
   check Alcotest.string "s2c" "answer" (Mitm.captured mitm Mitm.Server_to_client)
 
-(* ---------- kernel-copy endpoints (channel <-> Vm memory) ---------- *)
+(* ---------- vectored kernel-copy (readv) properties ----------
+
+   Differential properties against the scalar path: a vectored read must
+   scatter exactly the bytes the plain read calls would move, across
+   page boundaries, through capacity watermarks, and a protection fault
+   mid-vector must never tear a run or lose a byte.
+   All draws come from the suite's seeded PRNG (WEDGE_TEST_SEED). *)
 
 module Physmem = Wedge_kernel.Physmem
 module Vm = Wedge_kernel.Vm
 module Prot = Wedge_kernel.Prot
-
-let mk_vm () =
-  let pm = Physmem.create () in
-  let vm = Vm.create ~pid:1 pm (Clock.create ()) Cost_model.free in
-  Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
-  vm
-
-let test_chan_vm_roundtrip () =
-  Fiber.run (fun () ->
-      let a, b = Chan.pair () in
-      let vm = mk_vm () in
-      Vm.write_bytes vm 0x1000 (Bytes.of_string "payload via pages");
-      Chan.write_from b vm ~addr:0x1000 ~len:17;
-      let n = Chan.read_into a vm ~addr:0x1800 100 in
-      check Alcotest.int "all bytes landed" 17 n;
-      check Alcotest.string "roundtrip through Vm memory" "payload via pages"
-        (Bytes.to_string (Vm.read_bytes vm 0x1800 17)))
-
-let test_chan_read_into_faults_cleanly () =
-  (* Payload directed at a read-only page: the checked atomic write
-     faults with nothing written, and the fault surfaces to the caller
-     rather than corrupting memory. *)
-  Fiber.run (fun () ->
-      let a, b = Chan.pair () in
-      let vm = mk_vm () in
-      Vm.protect_range vm ~addr:0x1000 ~pages:1 ~prot:Prot.page_r;
-      Chan.write_string b "attack";
-      (match Chan.read_into a vm ~addr:0x1000 6 with
-      | _ -> Alcotest.fail "expected Vm.Fault"
-      | exception Vm.Fault _ -> ());
-      check Alcotest.int "read-only page untouched" 0 (Vm.read_u8 vm 0x1000))
-
-(* ---------- vectored kernel-copy (readv/writev) properties ----------
-
-   Differential properties against the scalar path: a vectored call must
-   scatter/gather exactly the bytes the plain read/write calls would
-   move, across page boundaries, through capacity watermarks, and a
-   protection fault mid-vector must never tear a run or lose a byte.
-   All draws come from the suite's seeded PRNG (WEDGE_TEST_SEED). *)
 
 let mk_vm4 () =
   let pm = Physmem.create () in
@@ -328,34 +295,6 @@ let prop_readv_scatter_equivalence =
                && rest = String.sub payload expected (plen - expected));
          !ok))
 
-let prop_writev_gather_equivalence =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"writev == gather of plain writes" ~count:100 iov_gen
-       (fun runs ->
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             let iovs = layout ~base:0x1000 runs in
-             let total = Array.fold_left (fun acc (_, l) -> acc + l) 0 iovs in
-             (* Distinct content per run so a gather that reorders or
-                duplicates runs cannot pass. *)
-             let expected = Buffer.create 64 in
-             Array.iteri
-               (fun i (addr, len) ->
-                 let s =
-                   String.init len (fun j ->
-                       Char.chr (Char.code 'A' + ((i + j) mod 26)))
-                 in
-                 Buffer.add_string expected s;
-                 Vm.write_bytes vm addr (Bytes.of_string s))
-               iovs;
-             let n = Chan.writev b vm iovs in
-             Chan.close b;
-             let got = drain_to_eof a in
-             ok := n = total && got = Buffer.contents expected);
-         !ok))
-
 let prop_readv_fault_mid_vector =
   Test_rng.to_alcotest
     (QCheck.Test.make
@@ -392,30 +331,6 @@ let prop_readv_fault_mid_vector =
                  ok :=
                    Buffer.contents delivered = String.sub payload 0 good_want
                    && rest = String.sub payload good_want extra
-                   && Wedge_core.Wedge.fault_reason (Vm.Fault f) <> None);
-         !ok))
-
-let prop_writev_fault_no_partial_write =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"writev fault mid-vector: nothing reaches the wire"
-       ~count:100
-       QCheck.(pair iov_gen (int_range 1 50))
-       (fun (runs, bad_len) ->
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             let good = layout ~base:0x1000 runs in
-             Array.iter
-               (fun (addr, len) -> Vm.write_bytes vm addr (Bytes.make len 'g'))
-               good;
-             Vm.protect_range vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_none;
-             let iovs = Array.append good [| (0x3000, bad_len) |] in
-             match Chan.writev b vm iovs with
-             | _ -> ()
-             | exception Vm.Fault f ->
-                 ok :=
-                   Chan.bytes_in_flight a = 0
                    && Wedge_core.Wedge.fault_reason (Vm.Fault f) <> None);
          !ok))
 
@@ -474,15 +389,11 @@ let () =
           Alcotest.test_case "bytes in flight" `Quick test_bytes_in_flight;
           Alcotest.test_case "listener shutdown" `Quick test_listener_shutdown;
           Alcotest.test_case "listener queueing" `Quick test_listener_queueing;
-          Alcotest.test_case "vm kernel-copy roundtrip" `Quick test_chan_vm_roundtrip;
-          Alcotest.test_case "read_into faults cleanly" `Quick test_chan_read_into_faults_cleanly;
         ] );
       ( "vectored",
         [
           prop_readv_scatter_equivalence;
-          prop_writev_gather_equivalence;
           prop_readv_fault_mid_vector;
-          prop_writev_fault_no_partial_write;
           prop_readv_partial_at_capacity_watermark;
         ] );
       ( "lineio",

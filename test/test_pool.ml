@@ -202,7 +202,7 @@ let test_from_pool_child_restamps () =
       let node = Supervisor.node ~name:"t" main in
       let c =
         Supervisor.child
-          ~policy:(Supervisor.policy ~max_restarts:2 ())
+          ~max_restarts:2
           ~restart:(Supervisor.From_pool pool) node ~name:"w"
       in
       let attempts = ref 0 in
@@ -224,7 +224,9 @@ let test_from_pool_child_restamps () =
 
 let test_from_pool_quarantine_is_shorter () =
   (* Quarantine length is priced against restart cost: a pooled child is
-     re-admitted at a quarter of the node's quarantine_ns. *)
+     re-admitted at a quarter of the fixed 20 us quarantine.  Five
+     retries exhaust the intensity budget of five faults: the sixth
+     faulted attempt escalates. *)
   let run_variant restart =
     let _, _, main = mk () in
     let lifted = ref (-1) in
@@ -234,13 +236,10 @@ let test_from_pool_quarantine_is_shorter () =
           | true -> Some (W.Pool.freeze ~name:"w" main (W.sc_create ()))
           | false -> None
         in
-        let node =
-          Supervisor.node ~intensity:1 ~window_ns:10_000 ~quarantine_ns:20_000
-            ~name:"t" main
-        in
+        let node = Supervisor.node ~name:"t" main in
         let c =
           Supervisor.child
-            ~policy:(Supervisor.policy ~max_restarts:5 ())
+            ~max_restarts:5
             ~restart:
               (match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh)
             node ~name:"w"

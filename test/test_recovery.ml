@@ -1,8 +1,8 @@
 (* Self-healing tests: overflow-safe supervision backoff, fault-history
-   reset for long-lived workers, supervision-tree escalation / quarantine
-   / rest-for-one, hang cuts by the guard's idle deadline (unit and
+   reset for long-lived workers, supervision-tree escalation and
+   quarantine, hang cuts by the guard's idle deadline (unit and
    against all three servers via a mid-header staller), circuit-breaker
-   transitions, fiber
+   transitions (streak, rate and brownout rules), fiber
    cancellation delivery, the new engine fault sites, and byte-identical
    replay of a full fault-storm scenario. *)
 
@@ -40,46 +40,41 @@ let test_backoff_no_overflow () =
   (* The old schedule [backoff_ns * (1 lsl (attempt - 1))] overflows at
      attempt 63 and shifts by a negative amount past 64.  The doubling
      fold must saturate instead. *)
-  let p = Supervisor.policy ~backoff_ns:100 ~max_backoff_ns:max_int () in
-  let b100 = Supervisor.backoff_for p ~attempt:100 in
+  let b100 = Supervisor.backoff_for ~attempt:100 in
   check Alcotest.bool "attempt 100 is non-negative" true (b100 >= 0);
-  check Alcotest.bool "attempt 100 saturates high" true (b100 > 1_000_000);
-  let big = Supervisor.policy ~backoff_ns:(max_int / 2) ~max_backoff_ns:max_int () in
-  check Alcotest.bool "huge base stays positive" true
-    (Supervisor.backoff_for big ~attempt:5 > 0)
+  check Alcotest.bool "attempt 100 saturates high" true (b100 > 1_000_000)
 
 let test_backoff_cap_pins_schedule () =
-  let p = Supervisor.policy ~backoff_ns:100 ~max_backoff_ns:1_000 () in
-  check Alcotest.int "attempt 1" 100 (Supervisor.backoff_for p ~attempt:1);
-  check Alcotest.int "attempt 2" 200 (Supervisor.backoff_for p ~attempt:2);
-  check Alcotest.int "attempt 4" 800 (Supervisor.backoff_for p ~attempt:4);
-  check Alcotest.int "attempt 5 capped" 1_000 (Supervisor.backoff_for p ~attempt:5);
-  check Alcotest.int "attempt 60 capped" 1_000 (Supervisor.backoff_for p ~attempt:60);
-  (* The default cap (1 s of simulated time) leaves the historical small
-     schedules untouched: 100+200+400 = 700 ns for three retries. *)
-  let d = Supervisor.policy ~max_restarts:3 ~backoff_ns:100 () in
+  (* 100 ns doubling per attempt; attempt 25 (100 * 2^24 ns) is the first
+     past the 1 s cap. *)
+  check Alcotest.int "attempt 1" 100 (Supervisor.backoff_for ~attempt:1);
+  check Alcotest.int "attempt 2" 200 (Supervisor.backoff_for ~attempt:2);
+  check Alcotest.int "attempt 4" 800 (Supervisor.backoff_for ~attempt:4);
+  check Alcotest.int "attempt 24 uncapped" 838_860_800 (Supervisor.backoff_for ~attempt:24);
+  check Alcotest.int "attempt 25 capped" 1_000_000_000 (Supervisor.backoff_for ~attempt:25);
+  check Alcotest.int "attempt 60 capped" 1_000_000_000 (Supervisor.backoff_for ~attempt:60);
+  (* The cap leaves the small schedules untouched: 100+200+400 = 700 ns
+     for three retries. *)
   let total =
-    Supervisor.backoff_for d ~attempt:1
-    + Supervisor.backoff_for d ~attempt:2
-    + Supervisor.backoff_for d ~attempt:3
+    Supervisor.backoff_for ~attempt:1
+    + Supervisor.backoff_for ~attempt:2
+    + Supervisor.backoff_for ~attempt:3
   in
   check Alcotest.int "pinned 700 ns schedule" 700 total
 
-(* ---------- tree: escalation, quarantine, rest-for-one ---------- *)
+(* ---------- tree: escalation and quarantine ---------- *)
 
 let failing_fn () = raise (Fault_plan.Injected "boom")
 
 let test_tree_escalates_and_quarantines () =
   let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~intensity:2 ~window_ns:10_000 ~quarantine_ns:20_000
-      ~name:"t" ctx
-  in
-  let c = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:5 ()) node ~name:"w" in
-  (* Attempt stream: faults 1 and 2 fit the budget, the third escalates
-     mid-retry. *)
+  let node = Supervisor.node ~name:"t" ctx in
+  let c = Supervisor.child ~max_restarts:5 node ~name:"w" in
+  (* Attempt stream: faults 1 to 5 fit the budget of five per 10 us (the
+     backoffs add up to 3.1 us), the sixth escalates at the last retry. *)
   (match Supervisor.run_child_fn c failing_fn with
-  | Supervisor.Gave_up { last_fault; _ } ->
+  | Supervisor.Gave_up { attempts; last_fault } ->
+      check Alcotest.int "sixth attempt escalates" 6 attempts;
       check Alcotest.bool "escalated" true (contains last_fault "escalated")
   | Supervisor.Done _ -> Alcotest.fail "expected Gave_up");
   check Alcotest.bool "quarantined" true
@@ -94,7 +89,7 @@ let test_tree_escalates_and_quarantines () =
   | Supervisor.Done _ -> Alcotest.fail "quarantine must refuse");
   check Alcotest.int "refusal counted" 1
     (Stats.get k.Kernel.stats "supervisor.quarantine.refused");
-  (* After the quarantine window the child runs again and recovers. *)
+  (* After the 20 us quarantine the child runs again and recovers. *)
   Clock.charge k.Kernel.clock 25_000;
   (match Supervisor.run_child_fn c (fun () -> 7) with
   | Supervisor.Done { value; _ } -> check Alcotest.int "served after lift" 7 value
@@ -102,46 +97,19 @@ let test_tree_escalates_and_quarantines () =
   check Alcotest.int "lift counted" 1
     (Stats.get k.Kernel.stats "supervisor.quarantine.lift")
 
-let test_rest_for_one_restarts_later_siblings () =
-  let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~strategy:Supervisor.Rest_for_one ~intensity:1 ~window_ns:10_000
-      ~name:"t" ctx
-  in
-  let first = Supervisor.child node ~name:"first" in
-  let middle = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:3 ()) node ~name:"middle" in
-  let last = Supervisor.child node ~name:"last" in
-  ignore (Supervisor.run_child_fn first (fun () -> 0));
-  ignore (Supervisor.run_child_fn last (fun () -> 0));
-  ignore (Supervisor.run_child_fn middle failing_fn);
-  check Alcotest.bool "middle quarantined" true
-    (Supervisor.child_health middle = Supervisor.Quarantined);
-  (* Registration order is dependency order: only the later sibling is
-     swept into Restarting. *)
-  check Alcotest.bool "later sibling restarting" true
-    (Supervisor.child_health last = Supervisor.Restarting);
-  check Alcotest.bool "earlier sibling untouched" true
-    (Supervisor.child_health first <> Supervisor.Restarting);
-  check Alcotest.int "rest_for_one counted" 1
-    (Stats.get k.Kernel.stats "supervisor.rest_for_one");
-  check Alcotest.bool "tree renders" true
-    (contains (Supervisor.tree_to_string node) "rest-for-one")
-
 (* ---------- satellite 2: healthy period clears fault history ---------- *)
 
 let test_healthy_reset_clears_history () =
   let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~intensity:2 ~window_ns:1_000_000 ~healthy_after_ns:5_000
-      ~name:"t" ctx
-  in
-  let c = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:1 ()) node ~name:"w" in
-  (* One faulted run puts a fault in the (huge) window. *)
+  let node = Supervisor.node ~name:"t" ctx in
+  let c = Supervisor.child ~max_restarts:4 node ~name:"w" in
+  (* One faulted run puts five faults in the window, the last at +1.5 us:
+     the whole budget. *)
   ignore (Supervisor.run_child_fn c failing_fn);
   check Alcotest.bool "degraded after fault" true
     (Supervisor.child_health c = Supervisor.Degraded);
-  (* A long clean stretch forgets the early crash: the worker is Healthy
-     again and the old fault cannot contribute to a later escalation. *)
+  (* A 10 us clean stretch forgets the early crash: the worker is Healthy
+     again and the old faults cannot contribute to a later escalation. *)
   Clock.charge k.Kernel.clock 10_000;
   (match Supervisor.run_child_fn c (fun () -> 1) with
   | Supervisor.Done _ -> ()
@@ -150,8 +118,10 @@ let test_healthy_reset_clears_history () =
     (Supervisor.child_health c = Supervisor.Healthy);
   check Alcotest.bool "reset counted" true
     (Stats.get k.Kernel.stats "supervisor.healthy_reset" >= 1);
-  (* The forgotten fault must not count toward the budget: one fresh
-     fault is within intensity 2 again (no escalation). *)
+  (* The forgotten faults must not count toward the budget: five fresh
+     ones are within the five allowed again (no escalation).  Without the
+     reset, the last old fault would still sit in the 10 us window and
+     make it six. *)
   (match Supervisor.run_child_fn c failing_fn with
   | Supervisor.Gave_up { last_fault; _ } ->
       check Alcotest.bool "plain gave-up, not escalation" false
@@ -354,12 +324,22 @@ let test_reactor_cuts_parked_worker_within_deadline () =
 
 (* ---------- circuit breaker ---------- *)
 
+(* The fixed breaker: trip on 3 straight failures or a 0.5 failure rate
+   over at least 6 samples in 40 us; open 5 us; 2 probes; brownout at a
+   0.3 failure rate. *)
 let breaker_guard clock =
-  Guard.create ~reactor:(Reactor.create ~clock ())
-    ~breaker:
-      (Guard.breaker_config ~consecutive:3 ~rate:0.9 ~min_samples:100
-         ~window_ns:1_000_000 ~open_ns:5_000 ~probes:2 ~brownout:0.99 ())
-    ~max_conns:8 ()
+  Guard.create ~reactor:(Reactor.create ~clock ()) ~breaker:true ~max_conns:8 ()
+
+(* One admitted connection: 100 ns of service, then its outcome. *)
+let breaker_sample clock g ~ok =
+  let a, b = Chan.pair () in
+  match Guard.admit g b with
+  | Guard.Admitted c ->
+      Clock.charge clock 100;
+      Guard.report c ~ok;
+      Guard.release c;
+      Chan.close a
+  | _ -> Alcotest.fail "expected admission"
 
 let test_breaker_opens_sheds_and_recovers () =
   let clock = Clock.create () in
@@ -375,11 +355,7 @@ let test_breaker_opens_sheds_and_recovers () =
         (Guard.breaker_state g = Some Guard.Closed);
       (* Three consecutive failures trip it. *)
       for i = 1 to 3 do
-        let a, c = admit () in
-        Clock.charge clock 100;
-        Guard.report c ~ok:false;
-        Guard.release c;
-        Chan.close a;
+        breaker_sample clock g ~ok:false;
         if i < 3 then
           check Alcotest.bool "still closed before streak" true
             (Guard.breaker_state g = Some Guard.Closed)
@@ -423,11 +399,7 @@ let test_breaker_failed_probe_reopens () =
         | _ -> Alcotest.fail "expected admission"
       in
       for _ = 1 to 3 do
-        let a, c = admit () in
-        Clock.charge clock 100;
-        Guard.report c ~ok:false;
-        Guard.release c;
-        Chan.close a
+        breaker_sample clock g ~ok:false
       done;
       Clock.charge clock 6_000;
       let a, c = admit () in
@@ -438,6 +410,50 @@ let test_breaker_failed_probe_reopens () =
         (Guard.breaker_state g = Some Guard.Open);
       check Alcotest.int "two trips recorded" 2
         (Guard.stats g).Guard.s_breaker_opened)
+
+let test_breaker_trips_on_rate () =
+  let clock = Clock.create () in
+  Fiber.run ~clock (fun () ->
+      let g = breaker_guard clock in
+      (* F,F,ok,F,ok,F: never three straight failures, but the sixth
+         sample fills the 6-sample minimum at 4/6 failed, over the 0.5
+         trip rate.  The rule is checked as each failure lands. *)
+      List.iteri
+        (fun i ok ->
+          breaker_sample clock g ~ok;
+          let want = if i < 5 then Guard.Closed else Guard.Open in
+          check Alcotest.bool
+            (Printf.sprintf "state after sample %d" (i + 1))
+            true
+            (Guard.breaker_state g = Some want))
+        [ false; false; true; false; true; false ];
+      check Alcotest.int "one trip" 1 (Guard.stats g).Guard.s_breaker_opened)
+
+let test_breaker_brownout_sheds_every_second () =
+  let clock = Clock.create () in
+  Fiber.run ~clock (fun () ->
+      let g = breaker_guard clock in
+      (* Two failures in six samples: 0.33 is at the 0.3 brownout
+         threshold but under the 0.5 trip rate, and no streak forms. *)
+      List.iter (fun ok -> breaker_sample clock g ~ok) [ false; true; false; true; true; true ];
+      let shed =
+        List.init 4 (fun _ ->
+            let a, b = Chan.pair () in
+            let shed =
+              match Guard.admit g b with
+              | Guard.Admitted c ->
+                  Guard.release c;
+                  false
+              | d -> d = Guard.Shed
+            in
+            Chan.close a;
+            shed)
+      in
+      check (Alcotest.list Alcotest.bool) "every second admission shed"
+        [ false; true; false; true ] shed;
+      check Alcotest.bool "still closed" true (Guard.breaker_state g = Some Guard.Closed);
+      check Alcotest.int "sheds counted" 2 (Guard.stats g).Guard.s_shed;
+      check Alcotest.int "never tripped" 0 (Guard.stats g).Guard.s_breaker_opened)
 
 (* ---------- satellite 3: mid-header staller vs all three servers ------- *)
 
@@ -579,10 +595,9 @@ let test_cgate_call_site_faults_contained () =
       Fiber.spawn (fun () ->
           (* No retries: a fresh attempt would re-greet and serve the
              remaining (innocent) QUIT, masking the crash. *)
-          let r =
-            Wedge_pop3.Pop3_wedge.serve_connection
-              ~restart_policy:Supervisor.default_policy main_ctx b
-          in
+          let node = Supervisor.node ~name:"pop3" main_ctx in
+          let supervised = Supervisor.child ~max_restarts:0 node ~name:"worker" in
+          let r = Wedge_pop3.Pop3_wedge.serve_connection ~supervised main_ctx b in
           degraded := r.Wedge_pop3.Pop3_wedge.degraded);
       (* Let the handler start, then make every callgate call crash. *)
       Chan.write_string a "USER alice\r\n";
@@ -678,7 +693,6 @@ let () =
         [
           Alcotest.test_case "escalate + quarantine" `Quick
             test_tree_escalates_and_quarantines;
-          Alcotest.test_case "rest-for-one" `Quick test_rest_for_one_restarts_later_siblings;
           Alcotest.test_case "healthy reset" `Quick test_healthy_reset_clears_history;
         ] );
       ( "cancel",
@@ -701,6 +715,9 @@ let () =
         [
           Alcotest.test_case "open/shed/recover" `Quick test_breaker_opens_sheds_and_recovers;
           Alcotest.test_case "failed probe reopens" `Quick test_breaker_failed_probe_reopens;
+          Alcotest.test_case "trips on rate" `Quick test_breaker_trips_on_rate;
+          Alcotest.test_case "brownout sheds every second" `Quick
+            test_breaker_brownout_sheds_every_second;
         ] );
       ( "staller",
         [
