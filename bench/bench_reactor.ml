@@ -17,8 +17,8 @@
    the bench asserts p99 > p50 (a non-degenerate tail) on top of the
    performance gates.
 
-     baseline  a bench-local polling loop (Fiber.wait_until on the
-               byte count), then 8x fd_read (one syscall trap per chunk)
+     baseline  a bench-local polling loop (yield until the byte count
+               arrives), then 8x fd_read (one syscall trap per chunk)
      reactor   parked on a channel interest set, then one fd_readv
                (one trap plus batch-op pricing for the whole vector)
 
@@ -103,8 +103,9 @@ let measure mode conns =
     let rec loop () =
       (match mode with
       | Polling ->
-          Fiber.wait_until ~what:"request bytes" (fun () ->
-              Chan.bytes_in_flight ep >= req_bytes || Chan.is_eof ep)
+          while not (Chan.bytes_in_flight ep >= req_bytes || Chan.is_eof ep) do
+            Fiber.yield ()
+          done
       | Evented -> Chan.wait_rx ~bytes:req_bytes ep);
       if Chan.bytes_in_flight ep >= req_bytes then begin
         let t0 = Clock.now clock in

@@ -61,6 +61,12 @@ test -s "$trace_out"
 echo "== schedule exploration: scenario matrix =="
 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1
 
+# The same matrix under PCT strict priorities: the policy whose
+# scheduling depends on every blocked fiber being parked, joins included
+# (a top-priority waiter left runnable would be picked forever).
+echo "== schedule exploration: scenario matrix (pct) =="
+dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --policy pct
+
 # Recovery benchmark: the MTTR benchmark must produce its artifact
 # (shrunk incident count under the smoke flag; bench_recovery exits
 # nonzero if a hang client is neither cut nor turned away), and the

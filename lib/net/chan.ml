@@ -133,8 +133,7 @@ let dir_kill_keep_data d =
    the whole cooperative scheduler down as a deadlock). *)
 let kill ep =
   dir_kill ep.rx;
-  dir_kill ep.tx;
-  Fiber.progress ()
+  dir_kill ep.tx
 
 let charge_delay ep ns =
   match ep.clock with Some c -> Clock.charge c ns | None -> ()
@@ -155,16 +154,14 @@ let read ep n =
       kill ep
   | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
       (* incoming bytes lost; the read side sees EOF from now on *)
-      dir_kill ep.rx;
-      Fiber.progress ()
+      dir_kill ep.rx
   | Some Fault_plan.Truncate ->
       (* deliver at most one pending byte, then the direction dies *)
       let keep = min 1 (dir_available ep.rx) in
       ep.rx.wpos <- ep.rx.rpos + keep;
       ep.rx.closed <- true;
       ep.rx.reset <- true;
-      dir_signal ep.rx;
-      Fiber.progress ()
+      dir_signal ep.rx
   | Some (Fault_plan.Delay ns) -> charge_delay ep ns
   | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
   | None -> ());
@@ -173,9 +170,6 @@ let read ep n =
   if blocked then charge_rtt ep true;
   let b = dir_pop ep.rx n in
   Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:(Bytes.length b);
-  (* Draining counts as global progress: a writer blocked on the high
-     watermark must see its space appear as forward motion, not a stall. *)
-  if Bytes.length b > 0 then Fiber.progress ();
   b
 
 let read_exact ep n =
@@ -217,7 +211,6 @@ let wait_for_space ep cap =
     ~on_stall:(fun () ->
       let in_flight = dir_available ep.tx in
       dir_kill ep.tx;
-      Fiber.progress ();
       raise
         (Rlimit.Resource_exhausted
            (Printf.sprintf
@@ -242,18 +235,15 @@ let write ep b =
   | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
       (* the bytes vanish in flight and the direction dies; the writer
          only finds out on its next write (like a TCP send after FIN) *)
-      dir_kill ep.tx;
-      Fiber.progress ()
+      dir_kill ep.tx
   | Some Fault_plan.Truncate ->
       if Bytes.length b > 0 then dir_push ep.tx (Bytes.sub b 0 1);
-      dir_kill_keep_data ep.tx;
-      Fiber.progress ()
+      dir_kill_keep_data ep.tx
   | Some (Fault_plan.Delay ns) ->
       charge_delay ep ns;
       dir_push ep.tx b
   | None -> dir_push ep.tx b);
   Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:(Bytes.length b);
-  Fiber.progress ();
   Fiber.yield ()
 
 let write_string ep s = write ep (Bytes.of_string s)
@@ -279,15 +269,13 @@ let readv ep vm iovs =
     (match Fault_plan.roll_opt ep.faults ~site:"chan.read" with
     | Some Fault_plan.Reset -> kill ep
     | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
-        dir_kill ep.rx;
-        Fiber.progress ()
+        dir_kill ep.rx
     | Some Fault_plan.Truncate ->
         let keep = min 1 (dir_available ep.rx) in
         ep.rx.wpos <- ep.rx.rpos + keep;
         ep.rx.closed <- true;
         ep.rx.reset <- true;
-        dir_signal ep.rx;
-        Fiber.progress ()
+        dir_signal ep.rx
     | Some (Fault_plan.Delay ns) -> charge_delay ep ns
     | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
     | None -> ());
@@ -309,21 +297,17 @@ let readv ep vm iovs =
            end)
          iovs
      with e ->
-       if !total > 0 then begin
+       if !total > 0 then
          Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-         Fiber.progress ()
-       end;
        raise e);
     Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-    if !total > 0 then Fiber.progress ();
     !total
   end
 
 let close ep =
   ep.tx.closed <- true;
   (* The peer's parked reader must see its EOF. *)
-  dir_signal ep.tx;
-  Fiber.progress ()
+  dir_signal ep.tx
 
 (* Forced teardown (RST): both directions die immediately.  Readers see
    EOF, writers get a contained [Injected] — what the admission layer
@@ -405,7 +389,6 @@ let attach_listener r l =
 let refuse l msg =
   l.refused <- l.refused + 1;
   Trace.instant l.ltrace ~name:"chan.refused" ~pid:net_pid;
-  Fiber.progress ();
   raise (Refused msg)
 
 let connect l =
@@ -442,7 +425,6 @@ let connect l =
   Queue.push server l.queue;
   Reactor.signal l.l_h;
   Trace.instant l.ltrace ~name:"chan.connect" ~pid:net_pid;
-  Fiber.progress ();
   client
 
 let accept l =
@@ -459,8 +441,7 @@ let shutdown l =
   Queue.iter kill l.queue;
   Queue.clear l.queue;
   (* Parked acceptors wake to the [down] flag; no new registrations. *)
-  Reactor.kill l.l_h;
-  Fiber.progress ()
+  Reactor.kill l.l_h
 
 let pending l = Queue.length l.queue
 let refused l = l.refused

@@ -411,9 +411,8 @@ let release c =
     let g = c.g in
     g.conns <- List.filter (fun c' -> c' != c) g.conns;
     g.active_n <- g.active_n - 1;
-    (* Freeing a slot is global progress, and wakes a parked drain. *)
-    Reactor.signal g.released;
-    Fiber.progress ()
+    (* Freeing a slot wakes a parked drain. *)
+    Reactor.signal g.released
   end
 
 let established c =

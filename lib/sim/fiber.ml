@@ -17,8 +17,8 @@ type _ Effect.t += Park : bool -> unit Effect.t
 exception Deadlock of string
 
 exception Cancelled of string
-(* Delivered inside a fiber at its next yield (or stall step / wait-until
-   spin) after [cancel] marked it.  A guard's idle-deadline cut uses this
+(* Delivered inside a fiber at its next yield, stall step or park resume
+   after [cancel] marked it.  A guard's idle-deadline cut uses this
    to tear down a hung compartment: the engine registers [Cancelled] as a contained
    fault class, so a cancelled worker dies like a crashed one — the
    listener and every other fiber keep running. *)
@@ -59,6 +59,12 @@ type task = {
 
 let dummy_task = { t_id = -1; t_run = (fun () -> ()) }
 
+(* A fiber parked in [wait_until] and the condition it waits for. *)
+type join = {
+  j_id : int;
+  j_cond : unit -> bool;
+}
+
 type sched = {
   policy : policy;
   runq : (unit -> unit) Queue.t;  (* Round_robin *)
@@ -67,17 +73,13 @@ type sched = {
   rng : Rng.t;
   prio : (int, int) Hashtbl.t;  (* Pct: fiber id -> priority *)
   mutable demote_next : int;  (* strictly decreasing fresh minima *)
-  mutable last_pick : int;  (* Pct anti-starvation state *)
-  mutable picks_in_a_row : int;
-  mutable stamp_at_pick : int;
   mutable replay_pos : int;
   mutable decisions : int list;  (* newest first *)
   on_switch : (unit -> unit) option;
   on_idle : (unit -> bool) option;
       (* called when nothing is runnable but fibers are parked; returns
-         true when it made progress (advanced the clock to a timer, fired
+         true when it moved the world (advanced the clock to a timer, fired
          one) and the scheduler should look at the queue again *)
-  mutable stamp : int;  (* bumped by [progress] *)
   mutable active : bool;
   mutable cur : int;  (* id of the running fiber *)
   mutable next_id : int;
@@ -89,6 +91,9 @@ type sched = {
   stalled : (int, unit) Hashtbl.t;
       (* fibers unparked by [resolve_stall], whose stall action runs at
          resume *)
+  mutable joins : join list;
+      (* parked [wait_until] fibers, newest first; the scheduler wakes
+         each one whose condition holds *)
   cancelled : (int, string) Hashtbl.t;  (* fiber id -> cancel reason *)
   faults : Fault_plan.t option;
   clock : Clock.t option;  (* charged by induced stalls (site "fiber.stall") *)
@@ -96,8 +101,6 @@ type sched = {
 
 let current : sched option ref = ref None
 let in_scheduler () = !current <> None
-let progress () = match !current with Some s -> s.stamp <- s.stamp + 1 | None -> ()
-let stamp () = match !current with Some s -> s.stamp | None -> 0
 let fiber_id () = match !current with Some s -> s.cur | None -> 0
 
 (* Deliver a pending cancellation exactly once: the flag is consumed on
@@ -120,14 +123,7 @@ let stall s total =
   let rec go remaining =
     if remaining > 0 then begin
       check_cancel s;
-      (match s.clock with
-      | Some c ->
-          Clock.charge c (min chunk remaining);
-          (* Advancing the clock is global progress: deadline-based guards
-             must get to observe it rather than read the stall as a wedged
-             system. *)
-          progress ()
-      | None -> ());
+      (match s.clock with Some c -> Clock.charge c (min chunk remaining) | None -> ());
       perform Yield;
       go (remaining - chunk)
     end
@@ -201,7 +197,9 @@ let parked_ids () =
   match !current with
   | None -> []
   | Some s ->
-      Hashtbl.fold (fun id _ acc -> id :: acc) s.parked [] |> List.sort compare
+      let joining id = List.exists (fun j -> j.j_id = id) s.joins in
+      Hashtbl.fold (fun id _ acc -> if joining id then acc else id :: acc) s.parked []
+      |> List.sort compare
 
 let unpark_in s id =
   match Hashtbl.find_opt s.parked id with
@@ -209,12 +207,9 @@ let unpark_in s id =
   | Some thunk ->
       Hashtbl.remove s.parked id;
       Hashtbl.remove s.stallable id;
-      s.stamp <- s.stamp + 1;
       enqueue s ~id thunk
 
-(* Move a parked fiber back to the run queue.  Waking someone is global
-   progress — a join spinning in [wait_until] must see the wake as
-   forward motion. *)
+(* Move a parked fiber back to the run queue. *)
 let unpark id = match !current with None -> () | Some s -> unpark_in s id
 
 (* The stall rule.  Nothing can run and no timer can fire: every parked
@@ -222,8 +217,8 @@ let unpark id = match !current with None -> () | Some s -> unpark_in s id
    and runs its action at resume — a bounded writer whose peer never
    reads tears its direction down and raises a contained error, a drain
    forces its stragglers.  [false] when nobody declared one: the world
-   is truly deadlocked.  The scheduler's idle path and [wait_until]'s
-   no-progress branch both end here before raising [Deadlock]. *)
+   is truly deadlocked.  The scheduler's idle path ends here before
+   raising [Deadlock]. *)
 let resolve_stall s =
   let ids = Hashtbl.fold (fun id () acc -> id :: acc) s.stallable [] |> List.sort compare in
   List.iter
@@ -232,46 +227,6 @@ let resolve_stall s =
       unpark_in s id)
     ids;
   ids <> []
-
-let wait_until ?(what = "condition") cond =
-  match !current with
-  | None ->
-      if not (cond ()) then
-        raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
-  | Some s ->
-      if not (cond ()) then begin
-        let id = s.cur in
-        Hashtbl.replace s.blocked id what;
-        let finish () = Hashtbl.remove s.blocked id in
-        let rec loop last_stamp spins =
-          if not (cond ()) then begin
-            check_cancel s;
-            (* If we have spun through the run queue many times with no
-               global progress, every other fiber is blocked too — but a
-               blocked world with an armed reactor timer is asleep, not
-               dead.  The queue never empties while this fiber spins, so
-               the scheduler's own idle path can't run: consult [on_idle]
-               and the stall rule here, and only declare deadlock once
-               neither can move the world. *)
-            if s.stamp = last_stamp && spins > 10_000 then begin
-              let idled = match s.on_idle with Some f -> f () | None -> false in
-              if not (idled || resolve_stall s) then begin
-                let msg = deadlock_message s what in
-                finish ();
-                raise (Deadlock msg)
-              end
-            end;
-            perform Yield;
-            if s.stamp = last_stamp then loop last_stamp (spins + 1)
-            else loop s.stamp 0
-          end
-        in
-        (match loop s.stamp 0 with
-        | () -> finish ()
-        | exception e ->
-            finish ();
-            raise e)
-      end
 
 (* Park the calling fiber until [unpark].  Cancellation is delivered at
    both edges: a pending mark raises before the fiber ever leaves the
@@ -298,6 +253,47 @@ let park ?on_stall ~what () =
           f ()
       | _ -> check_cancel s
 
+(* Unpark every joiner whose condition holds, oldest registration first,
+   and return the registrations still waiting.  When nobody wakes this
+   returns [js] itself: the per-step check allocates nothing. *)
+let rec wake_joins s js =
+  match js with
+  | [] -> js
+  | j :: rest ->
+      let rest' = wake_joins s rest in
+      if j.j_cond () then begin
+        unpark_in s j.j_id;
+        rest'
+      end
+      else if rest' == rest then js
+      else j :: rest'
+
+let check_joins s =
+  match s.joins with
+  | [] -> ()
+  | js ->
+      let js' = wake_joins s js in
+      if js' != js then s.joins <- js'
+
+(* A join parks like any other wait; the scheduler's [check_joins] is
+   its waker.  The condition may turn false again between the wake and
+   the resume, so the loop re-checks it and re-registers.  A cancellation
+   (or any exception) leaves no registration behind. *)
+let wait_until ?(what = "condition") cond =
+  match !current with
+  | None ->
+      if not (cond ()) then
+        raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
+  | Some s ->
+      let id = s.cur in
+      while not (cond ()) do
+        s.joins <- { j_id = id; j_cond = cond } :: s.joins;
+        try park ~what ()
+        with e ->
+          s.joins <- List.filter (fun j -> j.j_id <> id) s.joins;
+          raise e
+      done
+
 let cancel ?(reason = "cancelled") id =
   match !current with
   | None -> ()
@@ -318,15 +314,6 @@ let assign_prio s id =
 let pct_demote s id =
   Hashtbl.replace s.prio id s.demote_next;
   s.demote_next <- s.demote_next - 1
-
-(* Strict priority alone livelocks against [wait_until]'s polling join: a
-   top-priority fiber sitting in [wait_until] would be picked
-   forever while the fiber able to unblock it never runs, and after 10_000
-   fruitless spins the detector above would report a deadlock that is
-   really a scheduling artifact.  Demoting a fiber that has been picked
-   this many consecutive times without any global progress guarantees
-   rotation long before the detector fires. *)
-let starvation_limit = 64
 
 let choose s =
   let n = s.pool_n in
@@ -354,20 +341,8 @@ let choose s =
             best_p := p
           end
         done;
-        let id = s.pool.(!best).t_id in
-        if change_prob > 0.0 && Rng.float s.rng < change_prob then pct_demote s id;
-        if id = s.last_pick && s.stamp = s.stamp_at_pick then begin
-          s.picks_in_a_row <- s.picks_in_a_row + 1;
-          if s.picks_in_a_row >= starvation_limit then begin
-            pct_demote s id;
-            s.picks_in_a_row <- 0
-          end
-        end
-        else begin
-          s.last_pick <- id;
-          s.picks_in_a_row <- 1;
-          s.stamp_at_pick <- s.stamp
-        end;
+        if change_prob > 0.0 && Rng.float s.rng < change_prob then
+          pct_demote s s.pool.(!best).t_id;
         !best
   in
   s.decisions <- i :: s.decisions;
@@ -392,14 +367,10 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       rng = Rng.create seed;
       prio = Hashtbl.create 16;
       demote_next = 0;
-      last_pick = -1;
-      picks_in_a_row = 0;
-      stamp_at_pick = -1;
       replay_pos = 0;
       decisions = [];
       on_switch;
       on_idle;
-      stamp = 0;
       active = true;
       cur = 0;
       next_id = 1;
@@ -407,6 +378,7 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       parked = Hashtbl.create 8;
       stallable = Hashtbl.create 8;
       stalled = Hashtbl.create 8;
+      joins = [];
       cancelled = Hashtbl.create 8;
       faults;
       clock;
@@ -472,22 +444,28 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
      chance to fire due timers ([on_switch] — e.g. a just-signaled wake
      that raced the queue emptying), then [on_idle] may advance the
      simulated clock to the next armed timer and fire it (how a deadline
-     cut reaches a system where every fiber is parked on I/O), then the
-     stall rule resolves the waiters that declared a stall action.  If
-     none of them wakes anyone, the parked fibers can never run again. *)
+     cut reaches a system where every fiber is parked), then the stall
+     rule resolves the waiters that declared a stall action.  Joins are
+     re-checked after each hook.  If none of them wakes anyone, the
+     parked fibers can never run again. *)
   let idle () =
     (match s.on_switch with Some f -> f () | None -> ());
+    check_joins s;
     if runnable () = 0 then begin
-      let progressed =
+      let advanced =
         match s.on_idle with Some f -> f () | None -> false
       in
-      if runnable () = 0 && not (progressed || resolve_stall s) then
+      check_joins s;
+      if runnable () = 0 && not (advanced || resolve_stall s) then
         raise (Deadlock (deadlock_message s "parked fibers, nothing runnable"))
     end
   in
   (try
      exec main;
+     (* Joins are checked after every step: a join costs no step of its
+        own until its condition holds. *)
      let rec drain () =
+       check_joins s;
        if runnable () > 0 then begin
          (match s.on_switch with Some f -> f () | None -> ());
          (* The hook may have unparked or cancelled; re-check. *)

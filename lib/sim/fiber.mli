@@ -1,10 +1,12 @@
 (** Cooperative fibers (effects-based) for driving client/server/attacker
     interactions over simulated channels.
 
-    The simulated network ({!Wedge_net.Chan}) {!park}s a fiber when it
-    reads from an empty channel; the scheduler round-robins runnable
-    fibers until everything has finished.  Compartment code itself runs
-    to completion inside whichever fiber spawned it — blocking on I/O
+    Every blocking wait parks: the simulated network ({!Wedge_net.Chan})
+    {!park}s a fiber when it reads from an empty channel, and a
+    {!wait_until} join parks until its condition holds.  The scheduler
+    round-robins runnable fibers until everything has finished.
+    Compartment code itself runs to completion inside whichever fiber
+    spawned it — blocking on I/O
     inside an sthread suspends the whole caller chain, which matches the
     paper's semantics (the parent blocks on [sthread_join], a callgate's
     caller blocks until the callgate terminates). *)
@@ -13,15 +15,15 @@ exception Deadlock of string
 (** Raised by {!run} when every live fiber is blocked and no progress is
     possible: nothing is runnable, no timer can fire ([on_idle]) and no
     parked fiber declared a stall action (see {!park}).  The message
-    names the awaited condition plus every blocked fiber and what it is
-    waiting for, e.g.
-    ["channel data (blocked: fiber 0 awaiting channel data, fiber 2
-    awaiting incoming connection)"]. *)
+    names every blocked fiber and what it is waiting for, e.g.
+    ["parked fibers, nothing runnable (blocked: fiber 0 awaiting
+    channel data, fiber 2 awaiting incoming connection)"]. *)
 
 exception Cancelled of string
-(** Delivered inside a fiber at its next {!yield} (or stall step, or
-    {!wait_until} spin) after {!cancel} marked it.  The engine registers
-    this as a {e contained} fault class, so cancelling the fiber running a
+(** Delivered inside a fiber at its next {!yield}, stall step or
+    {!park} resume (a {!wait_until} join parks too) after {!cancel}
+    marked it.  The engine registers this as a {e contained} fault
+    class, so cancelling the fiber running a
     compartment kills only that compartment — the mechanism a guard's
     idle-deadline cut ({!Wedge_net.Guard}) uses to tear down a hung
     worker.  The mark is consumed on delivery:
@@ -41,10 +43,9 @@ type policy =
       seed : int;
       change_prob : float;
           (** per-step probability that the highest-priority fiber is
-              demoted below everyone else (the PCT change point).  An
-              anti-starvation rule additionally demotes a fiber picked 64
-              consecutive times without global progress, so strict
-              priority cannot livelock against a {!wait_until} join. *)
+              demoted below everyone else (the PCT change point).  Strict
+              priority needs no anti-starvation rule: a blocked fiber,
+              {!wait_until} joins included, is parked and never picked. *)
     }
   | Replay of int array
       (** replay recorded pool indices; exhausted or out-of-range entries
@@ -95,26 +96,22 @@ val yield : unit -> unit
     yield unconditionally). *)
 
 val wait_until : ?what:string -> (unit -> bool) -> unit
-(** [wait_until cond] yields until [cond ()] is true — a join primitive
-    for drivers and tests, not an I/O wait (those {!park}).  After 10,000
-    yields without global progress it consults [on_idle] and then the
-    stall rule, exactly like the scheduler's idle path.
-    @raise Deadlock if neither can move the world; [what] names the
-    awaited condition in the exception message. *)
-
-val progress : unit -> unit
-(** Record that global progress happened (e.g. bytes were delivered);
-    resets the deadlock detector. *)
-
-val stamp : unit -> int
-(** The scheduler's progress counter (0 outside {!run}), bumped by
-    {!progress} and every {!unpark}. *)
+(** [wait_until cond] parks the caller until [cond ()] is true — a join
+    primitive for drivers and tests.  I/O waits use [Reactor.wait]
+    instead, which a signal wakes directly.  The scheduler re-checks
+    every registered join after each step, so a join costs no steps of
+    its own while it waits, but O(registered joins) per step.  [cond]
+    runs in scheduler context: it must not yield, spawn or raise.  The
+    joiner resumes at the back of the run queue, and re-parks if [cond]
+    turned false again before it ran.
+    @raise Deadlock from {!run} if the world stalls while it waits; [what]
+    names the awaited condition in the exception message. *)
 
 val park : ?on_stall:(unit -> unit) -> what:string -> unit -> unit
 (** Take the calling fiber off the run queue until {!unpark}.  A parked
     fiber costs the scheduler {e nothing} per rotation — the one blocking
-    primitive every I/O wait ({!Reactor.wait}) is built on.  A pending
-    cancellation raises {!Cancelled} instead of parking; one set while
+    primitive every wait ({!Reactor.wait}, {!wait_until}) is built on.
+    A pending cancellation raises {!Cancelled} instead of parking; one set while
     parked ({!cancel} unparks its victim) raises at resume.
 
     [on_stall] declares what this wait does when the whole world stalls
@@ -128,21 +125,24 @@ val park : ?on_stall:(unit -> unit) -> what:string -> unit -> unit
 
 val unpark : int -> unit
 (** Make parked fiber [id] runnable again (no-op if it is not parked).
-    Counts as global progress.  Safe from any fiber and from the
-    {!run} [on_switch]/[on_idle] hooks. *)
+    Safe from any fiber and from the {!run} [on_switch]/[on_idle]
+    hooks. *)
 
 val is_parked : int -> bool
 (** True while fiber [id] sits in the parked table. *)
 
 val parked_count : unit -> int
 val parked_ids : unit -> int list
-(** Currently parked fiber ids, ascending — what the reactor's
-    interest-set invariant audits against its waiter lists. *)
+(** Parked fiber ids, ascending, leaving out {!wait_until} joins (the
+    scheduler wakes those; no reactor registration exists for them) —
+    what the reactor's interest-set invariant audits against its waiter
+    lists. *)
 
 val cancel : ?reason:string -> int -> unit
-(** Mark fiber [id] for cancellation: its next {!yield}, stall step or
-    {!wait_until} spin raises {!Cancelled} [reason] inside it.  A
-    {!park}ed victim is unparked so the mark is delivered at resume.  Safe to
+(** Mark fiber [id] for cancellation: its next {!yield} or stall step
+    raises {!Cancelled} [reason] inside it.  A {!park}ed victim,
+    {!wait_until} joins included, is unparked so the mark is delivered at
+    resume, and a cancelled join leaves no registration behind.  Safe to
     call from the {!run} [on_switch] and [on_idle] hooks (scheduler
     context) — where a guard's idle-deadline timer fires.  No-op outside {!run}; marking an already-marked
     fiber keeps the first reason. *)

@@ -281,6 +281,31 @@ let test_self_check_clean_while_parked () =
       | None -> Alcotest.fail "self_check missed a lost wakeup");
       Reactor.signal h)
 
+(* A join parked in [Fiber.wait_until] has no reactor registration and
+   is woken by the scheduler, so the audit must not count it as a leak;
+   a bare park with no registration still is one. *)
+let test_self_check_joins_versus_bare_parks () =
+  let _, r = mk () in
+  let flag = ref false in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () -> Fiber.wait_until ~what:"flag" (fun () -> !flag));
+      Fiber.yield ();
+      check Alcotest.int "the join is parked" 1 (Fiber.parked_count ());
+      check (Alcotest.option Alcotest.string) "a parked join is no leak" None
+        (Reactor.self_check r);
+      flag := true);
+  let leak = ref None in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () -> Fiber.park ~what:"unregistered" ());
+      Fiber.yield ();
+      leak := Reactor.self_check r;
+      Fiber.unpark (List.hd (Fiber.parked_ids ())));
+  match !leak with
+  | Some msg ->
+      check Alcotest.bool "audit names the unregistered park" true
+        (contains msg "fiber 1 parked with no waiter registration")
+  | None -> Alcotest.fail "self_check missed a bare park"
+
 let test_register_metrics () =
   let _, r = mk () in
   let h = Reactor.handle r ~name:"t" in
@@ -382,6 +407,8 @@ let () =
       ( "audit",
         [
           Alcotest.test_case "self_check" `Quick test_self_check_clean_while_parked;
+          Alcotest.test_case "self_check joins vs bare parks" `Quick
+            test_self_check_joins_versus_bare_parks;
           Alcotest.test_case "metrics registry" `Quick test_register_metrics;
         ] );
       ( "multi",

@@ -43,8 +43,7 @@ let test_fiber_wait_until () =
           Fiber.wait_until ~what:"flag" (fun () -> !flag);
           seen := true);
       Fiber.yield ();
-      flag := true;
-      Fiber.progress ());
+      flag := true);
   check Alcotest.bool "woke up" true !seen
 
 let test_fiber_deadlock_detection () =
@@ -105,19 +104,92 @@ let test_fiber_deadlock_message_lists_waiters () =
       check Alcotest.bool "lists second waiter" true (contains what "green flag");
       check Alcotest.bool "names a fiber id" true (contains what "fiber")
 
-let test_fiber_stamp_tracks_progress () =
-  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 in
-  check Alcotest.int "zero outside run" 0 (Fiber.stamp ());
+(* Scheduling steps (on_switch calls) for a worker that yields 100 times,
+   with and without a joiner waiting for it. *)
+let steps_with ~join =
+  let steps = ref 0 in
+  Fiber.run
+    ~on_switch:(fun () -> incr steps)
+    (fun () ->
+      let finished = ref false in
+      Fiber.spawn (fun () ->
+          for _ = 1 to 100 do
+            Fiber.yield ()
+          done;
+          finished := true);
+      if join then Fiber.wait_until ~what:"worker" (fun () -> !finished));
+  !steps
+
+let test_fiber_join_costs_no_steps () =
+  (* A parked join is off the run queue: it adds one step to resume, not
+     one per rotation of the worker it waits for. *)
+  let alone = steps_with ~join:false in
+  let joined = steps_with ~join:true in
+  check Alcotest.int "worker alone" 101 alone;
+  check Alcotest.int "one extra step for the join" (alone + 1) joined
+
+let test_fiber_pct_top_priority_join () =
+  (* Under strict priority (no change points) a top-priority joiner must
+     not starve the workers it waits for, and the order is a pure
+     function of the seed. *)
+  let order seed =
+    let log = Buffer.create 32 in
+    Fiber.run
+      ~policy:(Fiber.Pct { seed; change_prob = 0.0 })
+      (fun () ->
+        let finished = ref 0 in
+        for w = 1 to 2 do
+          Fiber.spawn (fun () ->
+              for _ = 1 to 3 do
+                Buffer.add_string log (string_of_int w);
+                Fiber.yield ()
+              done;
+              incr finished)
+        done;
+        Buffer.add_string log "m";
+        Fiber.yield ();
+        Buffer.add_string log "m";
+        Fiber.wait_until ~what:"workers" (fun () -> !finished = 2);
+        Buffer.add_string log "j");
+    Buffer.contents log
+  in
+  let main_on_top = ref 0 in
+  for seed = 1 to 16 do
+    let o = order seed in
+    check Alcotest.string "deterministic in seed" o (order seed);
+    check Alcotest.int "every worker step ran" 9 (String.length o);
+    check Alcotest.char "the join completes last" 'j' o.[8];
+    (* main outranks both workers iff its yield handed it the processor
+       straight back *)
+    if String.sub o 0 2 = "mm" then incr main_on_top
+  done;
+  check Alcotest.bool "some seed gives main (the joiner) top priority" true
+    (!main_on_top > 0)
+
+let test_fiber_cancelled_join_unregisters () =
+  (* A cancelled joiner raises [Cancelled] and leaves nothing behind: once
+     its condition turns true, the stale registration must not wake the
+     same fiber out of an unrelated park. *)
+  let flag = ref false in
+  let outcome = ref "" in
+  let parked_after = ref (-1) in
   Fiber.run (fun () ->
-      s0 := Fiber.stamp ();
+      Fiber.spawn (fun () ->
+          (try Fiber.wait_until ~what:"flag" (fun () -> !flag)
+           with Fiber.Cancelled reason -> outcome := reason);
+          Fiber.park ~what:"explicit wake" ());
       Fiber.yield ();
-      (* A bare yield is not progress: the detector must see a stalled
-         system through any number of idle spins. *)
-      s1 := Fiber.stamp ();
-      Fiber.progress ();
-      s2 := Fiber.stamp ());
-  check Alcotest.int "yield alone does not advance the stamp" !s0 !s1;
-  check Alcotest.bool "progress advances the stamp" true (!s2 > !s1)
+      Fiber.cancel ~reason:"cut" 1;
+      Fiber.yield ();
+      flag := true;
+      Fiber.yield ();
+      Fiber.yield ();
+      check Alcotest.bool "still in its own park" true (Fiber.is_parked 1);
+      Fiber.unpark 1;
+      Fiber.yield ();
+      parked_after := Fiber.parked_count ());
+  check Alcotest.string "the join raised Cancelled" "cut" !outcome;
+  check Alcotest.int "nothing left parked" 0 !parked_after
 
 let test_fiber_nested_spawn_ordering_policies () =
   (* Nested spawns must run exactly once under every policy; round-robin
@@ -278,7 +350,10 @@ let () =
           Alcotest.test_case "usable after crash" `Quick test_fiber_usable_after_crash;
           Alcotest.test_case "deadlock message lists waiters" `Quick
             test_fiber_deadlock_message_lists_waiters;
-          Alcotest.test_case "stamp tracks progress" `Quick test_fiber_stamp_tracks_progress;
+          Alcotest.test_case "join costs no steps" `Quick test_fiber_join_costs_no_steps;
+          Alcotest.test_case "pct top-priority join" `Quick test_fiber_pct_top_priority_join;
+          Alcotest.test_case "cancelled join unregisters" `Quick
+            test_fiber_cancelled_join_unregisters;
           Alcotest.test_case "nested spawn ordering per policy" `Quick
             test_fiber_nested_spawn_ordering_policies;
           Alcotest.test_case "last_decisions replay" `Quick test_fiber_last_decisions_replay;
