@@ -45,13 +45,11 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
+
 let num_bits (a : t) =
   let n = Array.length a in
-  if n = 0 then 0
-  else
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
+  if n = 0 then 0 else ((n - 1) * limb_bits) + bit_length a.(n - 1)
 
 let is_even (a : t) = Array.length a = 0 || a.(0) land 1 = 0
 let bit (a : t) i =
@@ -113,7 +111,7 @@ let mul (a : t) (b : t) : t =
   end
 
 let shift_left (a : t) bits : t =
-  if is_zero a || bits = 0 then if bits = 0 then a else a
+  if is_zero a || bits = 0 then a
   else begin
     let limbs = bits / limb_bits and off = bits mod limb_bits in
     let la = Array.length a in
@@ -144,142 +142,327 @@ let shift_right (a : t) bits : t =
     end
   end
 
-(* Binary long division: O(bits(a) * limbs).  Adequate for the <= 1024-bit
-   operands the simulation uses. *)
+(* Schoolbook long division (Knuth, TAOCP vol. 2, 4.3.1, Algorithm D): one
+   quotient limb per step, estimated from the top two limbs of the running
+   remainder and corrected at most twice before the multiply-subtract. *)
 let divmod (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
   else begin
-    let shift = num_bits a - num_bits b in
-    let q = Array.make ((shift / limb_bits) + 1) 0 in
-    let r = ref a in
-    let d = ref (shift_left b shift) in
-    for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end;
-      d := shift_right !d 1
-    done;
-    (normalize q, !r)
+    let la = Array.length a and n = Array.length b in
+    if n = 1 then begin
+      let d = b.(0) in
+      let q = Array.make la 0 and r = ref 0 in
+      for i = la - 1 downto 0 do
+        let cur = (!r lsl limb_bits) lor a.(i) in
+        q.(i) <- cur / d;
+        r := cur mod d
+      done;
+      (normalize q, of_int !r)
+    end
+    else begin
+      (* Scale both operands so the divisor's top limb has its high bit set. *)
+      let s = limb_bits - bit_length b.(n - 1) in
+      let v = shift_left b s in
+      let u = Array.make (la + 1) 0 in
+      let sa = shift_left a s in
+      Array.blit sa 0 u 0 (Array.length sa);
+      let vtop = v.(n - 1) and vnext = v.(n - 2) in
+      let q = Array.make (la - n + 1) 0 in
+      for j = la - n downto 0 do
+        let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+        let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+        while
+          !qhat >= base
+          || (!rhat < base && !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+        do
+          decr qhat;
+          rhat := !rhat + vtop
+        done;
+        let carry = ref 0 and borrow = ref 0 in
+        for i = 0 to n - 1 do
+          let p = (!qhat * v.(i)) + !carry in
+          carry := p lsr limb_bits;
+          let d = u.(i + j) - (p land mask) - !borrow in
+          borrow := if d < 0 then 1 else 0;
+          u.(i + j) <- d land mask
+        done;
+        if u.(j + n) - !carry - !borrow < 0 then begin
+          (* The estimate was one too large: add the divisor back. *)
+          decr qhat;
+          let c = ref 0 in
+          for i = 0 to n - 1 do
+            let x = u.(i + j) + v.(i) + !c in
+            u.(i + j) <- x land mask;
+            c := x lsr limb_bits
+          done
+        end;
+        u.(j + n) <- 0;
+        q.(j) <- !qhat
+      done;
+      (normalize q, shift_right (normalize (Array.sub u 0 n)) s)
+    end
   end
 
 let rem a b = snd (divmod a b)
 
-(* Barrett reduction: for a fixed modulus m of k limbs, precompute
-   mu = floor(base^(2k) / m); then x mod m for x < base^(2k) costs two
-   multiplications instead of a bit-by-bit division.  This is what makes
-   512-bit modexp fast enough to run hundreds of simulated SSL handshakes
-   in the benchmarks. *)
-let barrett m =
-  if is_zero m then raise Division_by_zero;
+(* In-place arithmetic on fixed-width limb arrays: the length of [x] is the
+   width, and [y] is at least that long. *)
+let ge_fixed (x : int array) (y : int array) =
+  let i = ref (Array.length x - 1) in
+  while !i >= 0 && x.(!i) = y.(!i) do
+    decr i
+  done;
+  !i < 0 || x.(!i) > y.(!i)
+
+(* x <- x - y mod base^width *)
+let sub_fixed (x : int array) (y : int array) =
+  let borrow = ref 0 in
+  for i = 0 to Array.length x - 1 do
+    let d = x.(i) - y.(i) - !borrow in
+    borrow := if d < 0 then 1 else 0;
+    x.(i) <- d land mask
+  done
+
+(* x <- x + y mod base^width *)
+let add_fixed (x : int array) (y : int array) =
+  let carry = ref 0 in
+  for i = 0 to Array.length x - 1 do
+    let v = x.(i) + y.(i) + !carry in
+    carry := v lsr limb_bits;
+    x.(i) <- v land mask
+  done
+
+let fixed k (x : t) =
+  let r = Array.make k 0 in
+  Array.blit x 0 r 0 (Array.length x);
+  r
+
+(* Montgomery arithmetic modulo an odd [m] of [k] limbs, with R = base^k.
+   Operands are fixed-width [k]-limb arrays below [m]. *)
+
+(* -m^-1 mod base.  An odd m0 is its own inverse mod 8; each Newton step
+   doubles the number of correct low bits (3, 6, 12, 24, 48). *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land mask
+  done;
+  (base - !x) land mask
+
+(* r <- a * b / R mod m, by product scanning: column sums of a*b and u*m,
+   where u is chosen limb by limb to clear the low k limbs.  A column holds
+   at most 2k products below 2^52, so it never overflows for k < 512.
+   [u] is k limbs of scratch; [r] may not alias [a] or [b]. *)
+let mont_mul ~m ~minv ~u r a b =
   let k = Array.length m in
-  let b2k = shift_left one (2 * k * limb_bits) in
-  let mu = fst (divmod b2k m) in
-  fun x ->
-    if compare x m < 0 then x
-    else begin
-      let q1 = shift_right x ((k - 1) * limb_bits) in
-      let q2 = mul q1 mu in
-      let q3 = shift_right q2 ((k + 1) * limb_bits) in
-      let qm = mul q3 m in
-      let r = ref (if compare x qm >= 0 then sub x qm else x) in
-      while compare !r m >= 0 do
-        r := sub !r m
-      done;
-      !r
-    end
+  let acc = ref 0 in
+  for i = 0 to k - 1 do
+    for j = 0 to i - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get u j * Array.unsafe_get m (i - j))
+    done;
+    acc := !acc + (a.(i) * b.(0));
+    let ui = (!acc land mask) * minv land mask in
+    u.(i) <- ui;
+    acc := (!acc + (ui * m.(0))) lsr limb_bits
+  done;
+  for i = k to (2 * k) - 2 do
+    for j = i - k + 1 to k - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get u j * Array.unsafe_get m (i - j))
+    done;
+    r.(i - k) <- !acc land mask;
+    acc := !acc lsr limb_bits
+  done;
+  r.(k - 1) <- !acc land mask;
+  (* The sum is below 2m: subtract m once if it overflowed or r >= m. *)
+  if !acc lsr limb_bits > 0 || ge_fixed r m then sub_fixed r m
+
+(* Fixed 4-bit windows, most significant first; the table of b^i R mod m
+   is filled on first use, so a sparse exponent such as 65537 costs no
+   more than square-and-multiply. *)
+let mont_modexp b exp m =
+  let k = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let u = Array.make k 0 in
+  let fixed = fixed k in
+  let table = Array.make 16 [||] in
+  table.(1) <- fixed (rem (shift_left b (k * limb_bits)) m);
+  let rec entry i =
+    if Array.length table.(i) = 0 then begin
+      let r = Array.make k 0 in
+      if i land 1 = 0 then (let h = entry (i / 2) in mont_mul ~m ~minv ~u r h h)
+      else mont_mul ~m ~minv ~u r (entry (i - 1)) table.(1);
+      table.(i) <- r
+    end;
+    table.(i)
+  in
+  let window w =
+    let pos = 4 * w in
+    let limb = pos / limb_bits and off = pos mod limb_bits in
+    let hi = if limb + 1 < Array.length exp then exp.(limb + 1) lsl (limb_bits - off) else 0 in
+    ((exp.(limb) lsr off) lor hi) land 0xf
+  in
+  let nwin = (num_bits exp + 3) / 4 in
+  let x = ref (Array.copy (entry (window (nwin - 1)))) and y = ref (Array.make k 0) in
+  let step a b =
+    mont_mul ~m ~minv ~u !y a b;
+    let t = !x in
+    x := !y;
+    y := t
+  in
+  for w = nwin - 2 downto 0 do
+    for _ = 1 to 4 do
+      step !x !x
+    done;
+    let d = window w in
+    if d <> 0 then step !x (entry d)
+  done;
+  step !x (fixed one);
+  normalize !x
 
 let modexp ~base:b ~exp ~m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
+  else if is_zero exp then one
+  else if (not (is_even m)) && Array.length m < 512 then mont_modexp b exp m
   else begin
-    let reduce = barrett m in
-    let result = ref one in
-    let b = ref (rem b m) in
-    let nbits = num_bits exp in
-    for i = 0 to nbits - 1 do
-      if bit exp i then result := reduce (mul !result !b);
-      if i < nbits - 1 then b := reduce (mul !b !b)
+    (* Even moduli (no caller in the library needs one): plain
+       square-and-multiply, reducing each product by division. *)
+    let b = rem b m and r = ref one in
+    for i = num_bits exp - 1 downto 0 do
+      r := rem (mul !r !r) m;
+      if bit exp i then r := rem (mul !r b) m
     done;
-    !result
+    !r
   end
 
 let gcd a b =
   let rec go a b = if is_zero b then a else go b (rem a b) in
   if compare a b >= 0 then go a b else go b a
 
-(* Extended Euclid over signed pairs represented as (sign, magnitude). *)
+(* Binary extended Euclid for an odd modulus (Menezes et al., Handbook of
+   Applied Cryptography, 14.61), in place on fixed-width arrays one limb
+   wider than [m]: u and v shrink towards gcd(a, m) while x1 * a = u and
+   x2 * a = v (mod m). *)
+let modinv_odd a m =
+  let k = Array.length m + 1 in
+  let m = fixed k m in
+  let u = fixed k a and v = Array.copy m and x1 = fixed k one and x2 = Array.make k 0 in
+  let is_small x c =
+    let i = ref 1 in
+    while !i < k && x.(!i) = 0 do
+      incr i
+    done;
+    !i = k && x.(0) = c
+  in
+  (* x <- x / 2, or (x + m) / 2 for odd x: halving mod m. *)
+  let halve ~modulo x =
+    if modulo && x.(0) land 1 = 1 then add_fixed x m;
+    for i = 0 to k - 2 do
+      x.(i) <- (x.(i) lsr 1) lor ((x.(i + 1) land 1) lsl (limb_bits - 1))
+    done;
+    x.(k - 1) <- x.(k - 1) lsr 1
+  in
+  (* x <- x - y mod m, for x, y < m *)
+  let sub_mod x y =
+    if not (ge_fixed x y) then add_fixed x m;
+    sub_fixed x y
+  in
+  while not (is_small u 1 || is_small v 1) do
+    if is_small u 0 || is_small v 0 then raise Not_found;
+    while u.(0) land 1 = 0 do
+      halve ~modulo:false u;
+      halve ~modulo:true x1
+    done;
+    while v.(0) land 1 = 0 do
+      halve ~modulo:false v;
+      halve ~modulo:true x2
+    done;
+    if ge_fixed u v then begin
+      sub_fixed u v;
+      sub_mod x1 x2
+    end
+    else begin
+      sub_fixed v u;
+      sub_mod x2 x1
+    end
+  done;
+  normalize (if is_small u 1 then x1 else x2)
+
 let modinv a ~m =
   let a = rem a m in
-  if is_zero a then raise Not_found;
-  (* Invariants: r0 = s0*a mod m, r1 = s1*a mod m with signed s. *)
-  let rec go r0 s0_sign s0 r1 s1_sign s1 =
-    if is_zero r1 then
-      if equal r0 one then if s0_sign then sub m (rem s0 m) else rem s0 m
-      else raise Not_found
-    else begin
-      let q, r2 = divmod r0 r1 in
-      (* s2 = s0 - q*s1 (signed) *)
-      let qs1 = mul q s1 in
-      let s2_sign, s2 =
-        if s0_sign = s1_sign then
-          if compare s0 qs1 >= 0 then (s0_sign, sub s0 qs1) else (not s0_sign, sub qs1 s0)
-        else (s0_sign, add s0 qs1)
-      in
-      go r1 s1_sign s1 r2 s2_sign s2
-    end
-  in
-  go m false zero a false one
+  if is_zero a then raise Not_found
+  else if not (is_even m) then modinv_odd a m
+  else if is_even a then raise Not_found
+  else if equal a one then one
+  else
+    (* With y = m^-1 mod a (an odd modulus), m*y = 1 + a*t for some
+       0 < t < m, so a * (m - t) = 1 (mod m). *)
+    let y = modinv_odd (rem m a) a in
+    sub m (fst (divmod (sub (mul m y) one) a))
+
+(* Digits of [width] <= 8 bits at bit position [pos], packed straight into
+   limbs, so parsing and printing are linear in the length. *)
+let set_digit (r : int array) ~pos d =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  r.(limb) <- r.(limb) lor ((d lsl off) land mask);
+  if d lsr (limb_bits - off) <> 0 then r.(limb + 1) <- r.(limb + 1) lor (d lsr (limb_bits - off))
+
+let get_digit (a : t) ~width ~pos =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let hi = if limb + 1 < Array.length a then a.(limb + 1) lsl (limb_bits - off) else 0 in
+  ((a.(limb) lsr off) lor hi) land ((1 lsl width) - 1)
 
 let of_bytes_be b =
-  let r = ref zero in
-  Bytes.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) b;
-  !r
+  let n = Bytes.length b in
+  let r = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  for i = 0 to n - 1 do
+    set_digit r ~pos:(8 * (n - 1 - i)) (Char.code (Bytes.get b i))
+  done;
+  normalize r
 
 let to_bytes_be ?len (a : t) =
-  let nbytes = (num_bits a + 7) / 8 in
-  let nbytes = max nbytes 1 in
+  let used = (num_bits a + 7) / 8 in
+  let nbytes = max 1 used in
   let out_len = match len with Some l -> l | None -> nbytes in
   if nbytes > out_len then invalid_arg "Bignum.to_bytes_be: value too large for len";
   let b = Bytes.make out_len '\000' in
-  let v = ref a in
-  for i = out_len - 1 downto out_len - nbytes do
-    (match !v with
-    | [||] -> ()
-    | limbs -> Bytes.set b i (Char.chr (limbs.(0) land 0xff)));
-    v := shift_right !v 8
+  for i = 0 to used - 1 do
+    Bytes.set b (out_len - 1 - i) (Char.chr (get_digit a ~width:8 ~pos:(8 * i)))
   done;
   b
 
 let of_hex s =
-  let r = ref zero in
-  String.iter
-    (fun c ->
-      let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | '_' | ' ' -> -1
-        | _ -> invalid_arg "Bignum.of_hex"
-      in
-      if d >= 0 then r := add (shift_left !r 4) (of_int d))
-    s;
-  !r
+  let r = Array.make (((4 * String.length s) + limb_bits - 1) / limb_bits) 0 in
+  let pos = ref 0 in
+  for i = String.length s - 1 downto 0 do
+    let c = s.[i] in
+    let d =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | '_' | ' ' -> -1
+      | _ -> invalid_arg "Bignum.of_hex"
+    in
+    if d >= 0 then begin
+      set_digit r ~pos:!pos d;
+      pos := !pos + 4
+    end
+  done;
+  normalize r
 
 let to_hex (a : t) =
   if is_zero a then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let v = ref a in
-    while not (is_zero !v) do
-      let digit = (match !v with [||] -> 0 | l -> l.(0)) land 0xf in
-      Buffer.add_char buf "0123456789abcdef".[digit];
-      v := shift_right !v 4
-    done;
-    String.init (Buffer.length buf) (fun i -> Buffer.nth buf (Buffer.length buf - 1 - i))
-  end
+  else
+    let n = (num_bits a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[get_digit a ~width:4 ~pos:(4 * (n - 1 - i))])
 
 let random_bits rng ~bits =
   if bits <= 0 then invalid_arg "Bignum.random_bits";

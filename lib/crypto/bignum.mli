@@ -23,7 +23,8 @@ val sub : t -> t -> t
 
 val mul : t -> t -> t
 val divmod : t -> t -> t * t
-(** @raise Division_by_zero *)
+(** Schoolbook long division, one quotient limb per step.
+    @raise Division_by_zero *)
 
 val rem : t -> t -> t
 val shift_left : t -> int -> t
@@ -31,10 +32,19 @@ val shift_right : t -> int -> t
 val bit : t -> int -> bool
 
 val modexp : base:t -> exp:t -> m:t -> t
+(** [base{^exp} mod m].  For an odd [m]: Montgomery multiplication over
+    fixed-width limb buffers with fixed 4-bit exponent windows; an even [m]
+    (which no caller in the library uses) falls back to square-and-multiply
+    with a division per product.  @raise Division_by_zero if [m] is zero. *)
+
 val modinv : t -> m:t -> t
-(** Modular inverse. @raise Not_found if not coprime with [m]. *)
+(** Modular inverse, by the binary extended Euclidean algorithm (for an
+    even [m], through the inverse of [m] modulo the odd [a]).
+    @raise Not_found if not coprime with [m]. *)
 
 val gcd : t -> t -> t
+
+(** Conversions pack and unpack limbs directly: linear in the length. *)
 
 val of_bytes_be : bytes -> t
 val to_bytes_be : ?len:int -> t -> bytes

@@ -1,6 +1,6 @@
 let block = 64
 
-let mac ~key data =
+let mac ~key ?(prefix = Bytes.empty) data =
   let key = if Bytes.length key > block then Sha256.digest key else key in
   let pad fill =
     let b = Bytes.make block fill in
@@ -10,6 +10,7 @@ let mac ~key data =
   let ipad = pad '\x36' and opad = pad '\x5c' in
   let inner = Sha256.init () in
   Sha256.update inner ipad;
+  Sha256.update inner prefix;
   Sha256.update inner data;
   let outer = Sha256.init () in
   Sha256.update outer opad;
@@ -18,8 +19,8 @@ let mac ~key data =
 
 let mac_string ~key s = mac ~key (Bytes.of_string s)
 
-let verify ~key data ~tag =
-  let expect = mac ~key data in
+let verify ~key ?prefix data ~tag =
+  let expect = mac ~key ?prefix data in
   Bytes.length tag = Bytes.length expect
   &&
   let diff = ref 0 in

@@ -3,9 +3,10 @@
     is what confines a man-in-the-middle to the outside of an established
     session (§5.1.2). *)
 
-val mac : key:bytes -> bytes -> bytes
-(** 32-byte tag. *)
+val mac : key:bytes -> ?prefix:bytes -> bytes -> bytes
+(** 32-byte tag over [prefix ‖ data] (default: no prefix), hashed as two
+    updates rather than concatenated. *)
 
 val mac_string : key:bytes -> string -> bytes
-val verify : key:bytes -> bytes -> tag:bytes -> bool
+val verify : key:bytes -> ?prefix:bytes -> bytes -> tag:bytes -> bool
 (** Constant-time comparison. *)

@@ -16,20 +16,31 @@ let create ~key =
   done;
   { s; i = 0; j = 0 }
 
+(* Indices are masked to 0..255, so the 256-entry table needs no bounds
+   checks. *)
 let crypt t data =
   let out = Bytes.create (Bytes.length data) in
+  let s = t.s and i = ref t.i and j = ref t.j in
   for n = 0 to Bytes.length data - 1 do
-    t.i <- (t.i + 1) land 0xff;
-    t.j <- (t.j + t.s.(t.i)) land 0xff;
-    let tmp = t.s.(t.i) in
-    t.s.(t.i) <- t.s.(t.j);
-    t.s.(t.j) <- tmp;
-    let ks = t.s.((t.s.(t.i) + t.s.(t.j)) land 0xff) in
-    Bytes.set out n (Char.chr (Char.code (Bytes.get data n) lxor ks))
+    i := (!i + 1) land 0xff;
+    let si = Array.unsafe_get s !i in
+    j := (!j + si) land 0xff;
+    let sj = Array.unsafe_get s !j in
+    Array.unsafe_set s !i sj;
+    Array.unsafe_set s !j si;
+    let ks = Array.unsafe_get s ((si + sj) land 0xff) in
+    Bytes.unsafe_set out n (Char.unsafe_chr (Char.code (Bytes.unsafe_get data n) lxor ks))
   done;
+  t.i <- !i;
+  t.j <- !j;
   out
 
 let copy t = { s = Array.copy t.s; i = t.i; j = t.j }
+
+let blit ~src ~dst =
+  Array.blit src.s 0 dst.s 0 256;
+  dst.i <- src.i;
+  dst.j <- src.j
 
 let state_size = 258
 

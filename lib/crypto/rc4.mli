@@ -11,6 +11,9 @@ val crypt : t -> bytes -> bytes
 
 val copy : t -> t
 
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst]'s state with [src]'s, e.g. to commit a speculative copy. *)
+
 val state_size : int
 (** Bytes needed by {!serialize} (258). *)
 

@@ -10,9 +10,17 @@ type priv = {
   d : B.t;
   p : B.t;
   q : B.t;
+  dp : B.t;
+  dq : B.t;
+  qinv : B.t;
 }
 
 let e_const = B.of_int 65537
+
+(* The CRT exponents d mod (p-1), d mod (q-1) and q^-1 mod p.
+   @raise Not_found if q is not invertible mod p. *)
+let with_crt pub ~d ~p ~q =
+  { pub; d; p; q; dp = B.rem d (B.sub p B.one); dq = B.rem d (B.sub q B.one); qinv = B.modinv q ~m:p }
 
 let keygen ?(bits = 512) rng =
   let half = bits / 2 in
@@ -25,8 +33,7 @@ let keygen ?(bits = 512) rng =
       let phi = B.mul (B.sub p B.one) (B.sub q B.one) in
       if not (B.equal (B.gcd e_const phi) B.one) then go ()
       else
-        let d = B.modinv e_const ~m:phi in
-        { pub = { n; e = e_const }; d; p; q }
+        with_crt { n; e = e_const } ~d:(B.modinv e_const ~m:phi) ~p ~q
     end
   in
   go ()
@@ -55,12 +62,24 @@ let encrypt rng pub msg =
   let m = B.of_bytes_be buf in
   B.to_bytes_be ~len:k (B.modexp ~base:m ~exp:pub.e ~m:pub.n)
 
+(* c^d mod n by the Chinese remainder theorem: two half-size exponents mod p
+   and q, recombined as m2 + q * (qinv * (m1 - m2) mod p) (Garner).  The
+   result is the same integer as c^d mod n, since p and q are distinct primes
+   and d is invertible mod both p-1 and q-1. *)
+let private_op priv c =
+  let { p; q; _ } = priv in
+  let m1 = B.modexp ~base:c ~exp:priv.dp ~m:p in
+  let m2 = B.modexp ~base:c ~exp:priv.dq ~m:q in
+  let m2p = B.rem m2 p in
+  let diff = if B.compare m1 m2p >= 0 then B.sub m1 m2p else B.sub (B.add m1 p) m2p in
+  B.add m2 (B.mul q (B.rem (B.mul priv.qinv diff) p))
+
 let decrypt priv ct =
   let k = modulus_bytes priv.pub in
   let c = B.of_bytes_be ct in
   if B.compare c priv.pub.n >= 0 then None
   else begin
-    let m = B.modexp ~base:c ~exp:priv.d ~m:priv.pub.n in
+    let m = private_op priv c in
     if B.num_bits m > 8 * (k - 1) then None
     else
     let buf = B.to_bytes_be ~len:(k - 1) m in
@@ -82,7 +101,7 @@ let sign priv msg =
   let h = Sha256.digest msg in
   let m = B.of_bytes_be h in
   let m = B.rem m priv.pub.n in
-  B.to_bytes_be ~len:(modulus_bytes priv.pub) (B.modexp ~base:m ~exp:priv.d ~m:priv.pub.n)
+  B.to_bytes_be ~len:(modulus_bytes priv.pub) (private_op priv m)
 
 let verify pub msg ~signature =
   let h = B.rem (B.of_bytes_be (Sha256.digest msg)) pub.n in
@@ -108,7 +127,10 @@ let priv_of_string s =
   match String.split_on_char ':' s with
   | [ "rsapriv"; e; n; d; p; q ] -> (
       match (B.of_hex e, B.of_hex n, B.of_hex d, B.of_hex p, B.of_hex q) with
-      | e, n, d, p, q when not (B.is_zero n) -> Some { pub = { n; e }; d; p; q }
+      | e, n, d, p, q
+        when (not (B.is_zero n)) && B.compare p B.one > 0 && B.compare q B.one > 0
+             && B.equal (B.mul p q) n -> (
+          match with_crt { n; e } ~d ~p ~q with k -> Some k | exception Not_found -> None)
       | _ -> None
       | exception Invalid_argument _ -> None)
   | _ -> None

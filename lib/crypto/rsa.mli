@@ -18,7 +18,14 @@ type priv = {
   d : Bignum.t;
   p : Bignum.t;
   q : Bignum.t;
+  dp : Bignum.t;  (** d mod (p-1) *)
+  dq : Bignum.t;  (** d mod (q-1) *)
+  qinv : Bignum.t;  (** q{^-1} mod p *)
 }
+(** [dp], [dq] and [qinv] are derived from [d], [p] and [q] by {!keygen} and
+    {!priv_of_string}, so the private operations ([decrypt], [sign]) can use
+    the Chinese remainder theorem: two exponentiations of half the size,
+    whose recombination is exactly [c{^d} mod n]. *)
 
 val keygen : ?bits:int -> Drbg.t -> priv
 (** [bits] is the modulus size (default 512). *)
@@ -43,8 +50,10 @@ val pub_of_string : string -> pub option
 
 val priv_to_string : priv -> string
 val priv_of_string : string -> priv option
-(** Flat encoding of the whole private key, so partitioned servers can keep
-    it in tagged memory and deserialise it inside a callgate. *)
+(** Flat encoding of the whole private key ([e], [n], [d], [p], [q]; the CRT
+    fields are re-derived, not stored), so partitioned servers can keep it
+    in tagged memory and deserialise it inside a callgate.  [None] unless
+    [p * q = n]. *)
 
 val demo_key : unit -> priv
 (** A process-wide 512-bit key generated once from a fixed seed (keygen is

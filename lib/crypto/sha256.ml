@@ -15,94 +15,136 @@ let k =
   |]
 
 type ctx = {
-  mutable h : int array;
-  buf : Buffer.t;  (* pending partial block *)
+  h : int array;
+  block : bytes;  (* pending partial block *)
+  mutable fill : int;  (* bytes pending in [block] *)
+  w : int array;  (* message schedule, reused by every block *)
   mutable total : int;  (* bytes processed *)
 }
 
 let init () =
   {
     h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Buffer.create 64;
+    block = Bytes.create 64;
+    fill = 0;
+    w = Array.make 64 0;
     total = 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+(* For x < 2^32, the 63-bit int [x lor (x lsl 32)] holds x twice (less its
+   top bit in the upper copy), so for n <= 30, [(xx lsr n) land m32] is x
+   rotated right by n.  Every rotation below is at most 25. *)
+let[@inline] twice x = x lor (x lsl 32)
 
-let compress h (block : string) off =
-  let w = Array.make 64 0 in
+(* The two sums of a round: t1 goes into the new e and a, t2 into a. *)
+let[@inline] t1 w i e f g h =
+  let ee = twice e in
+  h
+  + (((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land m32)
+  + (g lxor (e land (f lxor g)))
+  + Array.unsafe_get k i + Array.unsafe_get w i
+
+let[@inline] t2 a b c =
+  let aa = twice a in
+  (((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land m32) + ((a land b) lor (c land (a lor b)))
+
+(* One 64-byte block of [src] at [off], read in place; [k] and [w] are
+   indexed below 64, their length.  The rounds run eight at a time, each
+   writing its new a and e into the variables that fall out of use, so the
+   working variables need no shuffling. *)
+let compress t (src : bytes) off =
+  let h = t.h and w = t.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code block.[off + (4 * i)] lsl 24)
-      lor (Char.code block.[off + (4 * i) + 1] lsl 16)
-      lor (Char.code block.[off + (4 * i) + 2] lsl 8)
-      lor Char.code block.[off + (4 * i) + 3]
+    w.(i) <- Int32.to_int (Bytes.get_int32_be src (off + (4 * i))) land m32
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land m32
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = twice x and yy = twice y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land m32 lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land m32 lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land m32)
   done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land m32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land m32
+  let ra = ref h.(0) and rb = ref h.(1) and rc = ref h.(2) and rd = ref h.(3) in
+  let re = ref h.(4) and rf = ref h.(5) and rg = ref h.(6) and rh = ref h.(7) in
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let a = !ra and b = !rb and c = !rc and d = !rd in
+    let e = !re and f = !rf and g = !rg and hh = !rh in
+    let x = t1 w i e f g hh in
+    let d = (d + x) land m32 and hh = (x + t2 a b c) land m32 in
+    let x = t1 w (i + 1) d e f g in
+    let c = (c + x) land m32 and g = (x + t2 hh a b) land m32 in
+    let x = t1 w (i + 2) c d e f in
+    let b = (b + x) land m32 and f = (x + t2 g hh a) land m32 in
+    let x = t1 w (i + 3) b c d e in
+    let a = (a + x) land m32 and e = (x + t2 f g hh) land m32 in
+    let x = t1 w (i + 4) a b c d in
+    let hh = (hh + x) land m32 and d = (x + t2 e f g) land m32 in
+    let x = t1 w (i + 5) hh a b c in
+    let g = (g + x) land m32 and c = (x + t2 d e f) land m32 in
+    let x = t1 w (i + 6) g hh a b in
+    let f = (f + x) land m32 and b = (x + t2 c d e) land m32 in
+    let x = t1 w (i + 7) f g hh a in
+    let e = (e + x) land m32 and a = (x + t2 b c d) land m32 in
+    ra := a;
+    rb := b;
+    rc := c;
+    rd := d;
+    re := e;
+    rf := f;
+    rg := g;
+    rh := hh
   done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
+  h.(0) <- (h.(0) + !ra) land m32;
+  h.(1) <- (h.(1) + !rb) land m32;
+  h.(2) <- (h.(2) + !rc) land m32;
+  h.(3) <- (h.(3) + !rd) land m32;
+  h.(4) <- (h.(4) + !re) land m32;
+  h.(5) <- (h.(5) + !rf) land m32;
+  h.(6) <- (h.(6) + !rg) land m32;
+  h.(7) <- (h.(7) + !rh) land m32
 
-let update_string t s =
-  t.total <- t.total + String.length s;
-  Buffer.add_string t.buf s;
-  let data = Buffer.contents t.buf in
-  let nblocks = String.length data / 64 in
-  for i = 0 to nblocks - 1 do
-    compress t.h data (i * 64)
+let update t src =
+  t.total <- t.total + Bytes.length src;
+  let off = ref 0 and len = ref (Bytes.length src) in
+  if t.fill > 0 then begin
+    let n = min !len (64 - t.fill) in
+    Bytes.blit src !off t.block t.fill n;
+    t.fill <- t.fill + n;
+    off := !off + n;
+    len := !len - n;
+    if t.fill = 64 then begin
+      compress t t.block 0;
+      t.fill <- 0
+    end
+  end;
+  while !len >= 64 do
+    compress t src !off;
+    off := !off + 64;
+    len := !len - 64
   done;
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf (String.sub data (nblocks * 64) (String.length data - (nblocks * 64)))
+  if !len > 0 then begin
+    Bytes.blit src !off t.block 0 !len;
+    t.fill <- !len
+  end
 
-let update t b = update_string t (Bytes.to_string b)
+(* Only read, never written. *)
+let update_string t s = update t (Bytes.unsafe_of_string s)
 
 let final t =
-  let bitlen = t.total * 8 in
-  let pad_len =
-    let r = (t.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let pad = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (1 + pad_len + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
-  done;
-  update t pad;
-  assert (Buffer.length t.buf = 0);
+  let pad_from = t.fill + 1 in
+  Bytes.set t.block t.fill '\x80';
+  if pad_from > 56 then begin
+    Bytes.fill t.block pad_from (64 - pad_from) '\000';
+    compress t t.block 0;
+    Bytes.fill t.block 0 56 '\000'
+  end
+  else Bytes.fill t.block pad_from (56 - pad_from) '\000';
+  Bytes.set_int64_be t.block 56 (Int64.of_int (t.total * 8));
+  compress t t.block 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((t.h.(i) lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((t.h.(i) lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((t.h.(i) lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (t.h.(i) land 0xff))
-  done;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) t.h;
   out
 
 let digest b =

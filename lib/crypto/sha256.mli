@@ -9,6 +9,9 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> bytes -> unit
+(** Hashes in place: an update copies none of its input beyond the partial
+    block it leaves pending. *)
+
 val update_string : ctx -> string -> unit
 val final : ctx -> bytes
 (** 32-byte digest; the ctx must not be reused afterwards. *)

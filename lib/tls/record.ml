@@ -54,9 +54,7 @@ let seq_bytes seq =
   b
 
 let seal k plaintext =
-  let tag =
-    Hmac.mac ~key:k.mac_tx (Bytes.cat (seq_bytes k.seq_tx) plaintext)
-  in
+  let tag = Hmac.mac ~key:k.mac_tx ~prefix:(seq_bytes k.seq_tx) plaintext in
   k.seq_tx <- k.seq_tx + 1;
   Rc4.crypt k.enc_tx (Bytes.cat plaintext tag)
 
@@ -70,10 +68,10 @@ let open_ k record =
     let n = Bytes.length pt_tag - tag_len in
     let pt = Bytes.sub pt_tag 0 n in
     let tag = Bytes.sub pt_tag n tag_len in
-    if Hmac.verify ~key:k.mac_rx (Bytes.cat (seq_bytes k.seq_rx) pt) ~tag then begin
+    if Hmac.verify ~key:k.mac_rx ~prefix:(seq_bytes k.seq_rx) pt ~tag then begin
       k.seq_rx <- k.seq_rx + 1;
-      (* Commit the cipher state advance. *)
-      ignore (Rc4.crypt k.enc_rx record);
+      (* Commit the verified copy's cipher state. *)
+      Rc4.blit ~src:rc4 ~dst:k.enc_rx;
       Some pt
     end
     else None

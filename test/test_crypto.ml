@@ -63,6 +63,13 @@ let test_bignum_modinv () =
     let inv = B.modinv (B.of_int a) ~m in
     check Alcotest.int (Printf.sprintf "inv %d" a) 1 (B.to_int (B.rem (B.mul (B.of_int a) inv) m))
   done;
+  (* An even modulus: inverses exist exactly for the odd a coprime to 96. *)
+  for a = 1 to 95 do
+    match B.modinv (B.of_int a) ~m:(B.of_int 96) with
+    | inv -> check Alcotest.int (Printf.sprintf "inv %d mod 96" a) 1 (a * B.to_int inv mod 96)
+    | exception Not_found ->
+        check Alcotest.bool (Printf.sprintf "%d not invertible mod 96" a) true (a mod 2 = 0 || a mod 3 = 0)
+  done;
   match B.modinv (B.of_int 6) ~m:(B.of_int 9) with
   | _ -> Alcotest.fail "expected Not_found for non-coprime"
   | exception Not_found -> ()
@@ -121,9 +128,140 @@ let test_bignum_modexp_edges () =
   check Alcotest.int "x^0 = 1" 1 (B.to_int (B.modexp ~base:(B.of_int 5) ~exp:B.zero ~m));
   check Alcotest.int "0^x = 0" 0 (B.to_int (B.modexp ~base:B.zero ~exp:(B.of_int 5) ~m));
   check Alcotest.int "mod 1 = 0" 0 (B.to_int (B.modexp ~base:(B.of_int 5) ~exp:(B.of_int 5) ~m:B.one));
+  (* p^j mod p^k = 0 for j >= k: a zero result, which Montgomery reduction
+     can reach as exactly m before its final subtraction. *)
+  List.iter
+    (fun (p, k) ->
+      let pk = B.modexp ~base:(B.of_int p) ~exp:(B.of_int k) ~m:(B.shift_left B.one 2000) in
+      List.iter
+        (fun j ->
+          check Alcotest.bool (Printf.sprintf "%d^%d mod %d^%d" p j p k) true
+            (B.is_zero (B.modexp ~base:(B.of_int p) ~exp:(B.of_int j) ~m:pk)))
+        [ k; k + 1; 2 * k ])
+    [ (3, 2); (5, 3); (3, 40); (7, 100); (101, 77) ];
   match B.modexp ~base:B.one ~exp:B.one ~m:B.zero with
   | _ -> Alcotest.fail "expected Division_by_zero"
   | exception Division_by_zero -> ()
+
+(* The square-and-multiply [modexp] with Barrett reduction that Bignum used
+   before Montgomery multiplication, kept whole as the reference the fast
+   path must match bit for bit.  Its division is the binary long division
+   that Bignum.divmod replaced, so it shares no reduction code with it. *)
+module Reference = struct
+  let divmod a b =
+    if B.compare a b < 0 then (B.zero, a)
+    else begin
+      let shift = B.num_bits a - B.num_bits b in
+      let q = ref B.zero and r = ref a and d = ref (B.shift_left b shift) in
+      for i = shift downto 0 do
+        if B.compare !r !d >= 0 then begin
+          r := B.sub !r !d;
+          q := B.add !q (B.shift_left B.one i)
+        end;
+        d := B.shift_right !d 1
+      done;
+      (!q, !r)
+    end
+
+  let limb_bits = 26
+
+  let barrett m =
+    let k = (B.num_bits m + limb_bits - 1) / limb_bits in
+    let mu = fst (divmod (B.shift_left B.one (2 * k * limb_bits)) m) in
+    fun x ->
+      if B.compare x m < 0 then x
+      else begin
+        let q1 = B.shift_right x ((k - 1) * limb_bits) in
+        let q3 = B.shift_right (B.mul q1 mu) ((k + 1) * limb_bits) in
+        let qm = B.mul q3 m in
+        let r = ref (if B.compare x qm >= 0 then B.sub x qm else x) in
+        while B.compare !r m >= 0 do
+          r := B.sub !r m
+        done;
+        !r
+      end
+
+  let modexp ~base:b ~exp ~m =
+    if B.equal m B.one then B.zero
+    else begin
+      let reduce = barrett m in
+      let result = ref B.one in
+      let b = ref (snd (divmod b m)) in
+      let nbits = B.num_bits exp in
+      for i = 0 to nbits - 1 do
+        if B.bit exp i then result := reduce (B.mul !result !b);
+        if i < nbits - 1 then b := reduce (B.mul !b !b)
+      done;
+      !result
+    end
+end
+
+(* Operands of [0, max_bits] bits.  Limbs of all-ones and lone top bits
+   stress the carry, borrow and quotient-correction paths that uniformly
+   random limbs almost never reach. *)
+let gen_big r ~max_bits =
+  let bits = Drbg.int_below r (max_bits + 1) in
+  if bits = 0 then B.zero
+  else
+    match Drbg.int_below r 4 with
+    | 0 -> B.sub (B.shift_left B.one bits) B.one
+    | 1 -> B.add (B.shift_left B.one (bits - 1)) (B.of_int (Drbg.int_below r 3))
+    | _ -> B.random_bits r ~bits
+
+let prop_modexp_matches_reference =
+  QCheck.Test.make ~name:"modexp matches the Barrett reference (1-1100 bits)" ~count:150
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let m =
+        match Drbg.int_below r 16 with
+        | 0 -> B.one
+        | c ->
+            let m = B.add (gen_big r ~max_bits:1100) B.two in
+            (* Odd moduli take the Montgomery path, even ones the fallback. *)
+            if (c land 1 = 1) = B.is_even m then B.add m B.one else m
+      in
+      let base = gen_big r ~max_bits:1100 in
+      let exp = if Drbg.int_below r 8 = 0 then B.zero else gen_big r ~max_bits:300 in
+      B.equal (B.modexp ~base ~exp ~m) (Reference.modexp ~base ~exp ~m))
+
+let prop_divmod_matches_reference =
+  QCheck.Test.make ~name:"divmod matches binary long division (multi-limb)" ~count:300
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let a = gen_big r ~max_bits:1100 and b = B.add (gen_big r ~max_bits:600) B.one in
+      let q, rm = B.divmod a b and q', rm' = Reference.divmod a b in
+      B.equal q q' && B.equal rm rm')
+
+let prop_modinv_multi_limb =
+  QCheck.Test.make ~name:"modinv: a * inv = 1 mod m, or Not_found iff gcd > 1" ~count:300
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let m = B.add (gen_big r ~max_bits:600) B.two and a = gen_big r ~max_bits:700 in
+      match B.modinv a ~m with
+      | inv -> B.compare inv m < 0 && B.equal (B.rem (B.mul a inv) m) B.one
+      | exception Not_found -> not (B.equal (B.gcd a m) B.one) || B.is_zero (B.rem a m))
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"of_hex . to_hex = id (multi-limb)" ~count:200
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let v = gen_big (Drbg.create ~seed) ~max_bits:1100 in
+      B.equal v (B.of_hex (B.to_hex v))
+      && B.equal v (B.of_bytes_be (B.to_bytes_be v)))
+
+let test_bignum_multi_limb_parse () =
+  let v = B.shift_left B.one 160 in
+  check Alcotest.bool "of_hex" true (B.equal v (B.of_hex ("1" ^ String.make 40 '0')));
+  check Alcotest.string "to_hex" ("1" ^ String.make 40 '0') (B.to_hex v);
+  check Alcotest.bool "of_hex skips separators" true
+    (B.equal (B.of_hex "dead_beef cafe") (B.of_hex "deadbeefcafe"));
+  check Alcotest.bool "of_bytes_be" true
+    (B.equal (B.sub v B.one) (B.of_bytes_be (Bytes.make 20 '\xff')));
+  check Alcotest.string "to_bytes_be" ("\x01" ^ String.make 20 '\x00')
+    (Bytes.to_string (B.to_bytes_be v))
 
 let test_bignum_to_int_overflow () =
   let huge = B.shift_left B.one 80 in
@@ -151,7 +289,10 @@ let test_sha256_vectors () =
     (t "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   check Alcotest.string "448-bit edge"
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (t "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+    (t "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
+  check Alcotest.string "one million a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (t (String.make 1_000_000 'a'))
 
 let test_sha256_incremental () =
   let one_shot = Sha256.digest_string "the quick brown fox jumps over the lazy dog" in
@@ -335,6 +476,71 @@ let test_dsa_signature_randomized () =
   let r1, s1 = Dsa.sign r key msg and r2, s2 = Dsa.sign r key msg in
   check Alcotest.bool "nonces differ" false (B.equal r1 r2 && B.equal s1 s2)
 
+(* ---------- Known answers ----------
+
+   Outputs of the pre-Montgomery, pre-CRT implementation for fixed inputs:
+   the fast paths must reproduce them byte for byte. *)
+
+let test_kat_rsa () =
+  let k = Rsa.demo_key () in
+  check Alcotest.string "demo key encoding"
+    "6f81875c9077bc7358988b305be2ec16d5e3c068f18b576d19e3e5241ccc658f"
+    (Sha256.hex (Sha256.digest_string (Rsa.priv_to_string k)));
+  check Alcotest.string "sign"
+    "0ce9a35a42695b58039e97610a9fac0364b0440619b585cd6b03ebe1ddcf5e11\
+     d6e8e9345b925134f788b0b565e8c6fbc471c30e4b810ee159bda306024dbf31"
+    (Sha256.hex (Rsa.sign k (Bytes.of_string "host key proof")));
+  let ct = Rsa.encrypt (Drbg.create ~seed:42) k.Rsa.pub (Bytes.of_string "premaster secret") in
+  check Alcotest.string "encrypt"
+    "5d078aa42ded4791497a4cc19db800ec63b858da148506bb7cc41f682bf41577\
+     bf9e5780ad8851ab67e8763991011cca23167f542966338b798174882d3697a6"
+    (Sha256.hex ct);
+  check Alcotest.(option string) "decrypt" (Some "premaster secret")
+    (Option.map Bytes.to_string (Rsa.decrypt k ct));
+  check Alcotest.bool "decrypt rejects bad padding" true (Rsa.decrypt k (Bytes.make 64 '\x01') = None)
+
+let test_kat_dsa () =
+  let params = Dsa.demo_params () in
+  check Alcotest.string "demo params"
+    "ec705562160bb70b56bc391487d53b1dd45e3d87aafbabe3fcaeabc3d2345107"
+    (Sha256.hex
+       (Sha256.digest_string (B.to_hex params.Dsa.p ^ B.to_hex params.Dsa.q ^ B.to_hex params.Dsa.g)));
+  let key = Dsa.keygen (Drbg.create ~seed:7) params in
+  check Alcotest.string "keygen"
+    "dsapriv:814e26f6e7524700a7aff652482a92de7f13dac3f1b5403c7b4ecf0b5e16df75:\
+     8511f9a3139edf8496acfcef:\
+     4a3f9c8858ceb3fe4f3624e97864743ec7c69952cc27a62545ac9b72b9d9569e:\
+     1c208883e7cf821436c9e16bacdc3494f2adf0c4e12ddef07227c3ac4be979d3:6c3a1c082b5f491d5fefe3a6"
+    (Dsa.priv_to_string key);
+  check Alcotest.string "sign" "7507c5c395342caafdb82af0,3605706af832ecf7aa57f5c"
+    (Dsa.signature_to_string (Dsa.sign (Drbg.create ~seed:9) key (Bytes.of_string "authenticate me")))
+
+let test_rsa_crt_fields () =
+  let k = Rsa.demo_key () in
+  let s = Rsa.priv_to_string k in
+  (match Rsa.priv_of_string s with
+  | Some k' ->
+      check Alcotest.string "re-encodes identically" s (Rsa.priv_to_string k');
+      List.iter
+        (fun (name, a, b) -> check Alcotest.bool name true (B.equal a b))
+        [ ("dp", k.Rsa.dp, k'.Rsa.dp); ("dq", k.Rsa.dq, k'.Rsa.dq); ("qinv", k.Rsa.qinv, k'.Rsa.qinv) ]
+  | None -> Alcotest.fail "roundtrip failed");
+  let inconsistent =
+    Printf.sprintf "rsapriv:%s:%s:%s:%s:%s" (B.to_hex k.Rsa.pub.Rsa.e)
+      (B.to_hex (B.add k.Rsa.pub.Rsa.n B.two)) (B.to_hex k.Rsa.d) (B.to_hex k.Rsa.p) (B.to_hex k.Rsa.q)
+  in
+  check Alcotest.bool "p*q <> n rejected" true (Rsa.priv_of_string inconsistent = None)
+
+let prop_rsa_sign_matches_full_exponent =
+  QCheck.Test.make ~name:"CRT signature = hash^d mod n" ~count:20
+    (QCheck.string_of_size (QCheck.Gen.int_range 0 40))
+    (fun s ->
+      let k = Rsa.demo_key () in
+      let msg = Bytes.of_string s in
+      let h = B.rem (B.of_bytes_be (Sha256.digest msg)) k.Rsa.pub.Rsa.n in
+      Bytes.equal (Rsa.sign k msg)
+        (B.to_bytes_be ~len:64 (Reference.modexp ~base:h ~exp:k.Rsa.d ~m:k.Rsa.pub.Rsa.n)))
+
 (* ---------- Drbg ---------- *)
 
 let test_drbg_deterministic () =
@@ -368,6 +574,7 @@ let () =
           Alcotest.test_case "shifts" `Quick test_bignum_shift;
           Alcotest.test_case "modexp edges" `Quick test_bignum_modexp_edges;
           Alcotest.test_case "to_int overflow" `Quick test_bignum_to_int_overflow;
+          Alcotest.test_case "multi-limb parse" `Quick test_bignum_multi_limb_parse;
         ] );
       ( "bignum-properties",
         qcheck
@@ -378,6 +585,10 @@ let () =
             prop_big_divmod_identity;
             prop_modexp_matches_naive;
             prop_bytes_roundtrip;
+            prop_modexp_matches_reference;
+            prop_divmod_matches_reference;
+            prop_modinv_multi_limb;
+            prop_hex_roundtrip;
           ] );
       ( "sha256",
         [
@@ -410,14 +621,20 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "pub serialization" `Quick test_rsa_pub_serialization;
           Alcotest.test_case "max payload" `Quick test_rsa_max_payload_enforced;
+          Alcotest.test_case "CRT fields" `Quick test_rsa_crt_fields;
         ]
-        @ qcheck [ prop_rsa_roundtrip_random ] );
+        @ qcheck [ prop_rsa_roundtrip_random; prop_rsa_sign_matches_full_exponent ] );
       ( "dsa",
         [
           Alcotest.test_case "sign/verify" `Quick test_dsa_sign_verify;
           Alcotest.test_case "wrong key" `Quick test_dsa_wrong_key_rejected;
           Alcotest.test_case "randomized" `Quick test_dsa_signature_randomized;
           Alcotest.test_case "parameters sound" `Quick test_dsa_params_are_sound;
+        ] );
+      ( "known-answers",
+        [
+          Alcotest.test_case "rsa" `Quick test_kat_rsa;
+          Alcotest.test_case "dsa" `Quick test_kat_dsa;
         ] );
       ( "drbg",
         [

@@ -61,6 +61,24 @@ let test_record_roundtrip () =
   check Alcotest.bool "client opens" true
     (Record.open_ c r2 = Some (Bytes.of_string "server to client"))
 
+(* The second record of a fixed session, as the implementation before the
+   copy-free SHA-256 and one-pass open produced it, byte for byte. *)
+let test_record_seal_known_answer () =
+  let derive side =
+    Record.derive ~master:(Bytes.of_string "0123456789abcdef0123456789abcdef")
+      ~client_random:(Bytes.make 32 'c') ~server_random:(Bytes.make 32 's') ~side
+  in
+  let c = derive `Client and s = derive `Server in
+  let first = Record.seal c (Bytes.of_string "first") in
+  let second = Record.seal c (Bytes.of_string "hello, record layer") in
+  check Alcotest.string "seal"
+    "bcee8c522800717a1002d301c2f7499b5b259d9ef9ea4e07eb39233c93ca0b8c\
+     10037d9695ee940864ce76882cf942e9959fde"
+    (Wedge_crypto.Sha256.hex second);
+  check Alcotest.(list (option string)) "opens in order"
+    [ Some "first"; Some "hello, record layer" ]
+    (List.map (fun r -> Option.map Bytes.to_string (Record.open_ s r)) [ first; second ])
+
 let test_record_rejects_tamper () =
   let c, s = mk_keys () in
   let r = Record.seal c (Bytes.of_string "data") in
@@ -465,6 +483,7 @@ let () =
           Alcotest.test_case "replay rejected" `Quick test_record_rejects_replay;
           Alcotest.test_case "forgery rejected" `Quick test_record_rejects_forgery_without_key;
           Alcotest.test_case "forgery does not desync" `Quick test_record_forged_record_does_not_desync;
+          Alcotest.test_case "seal known answer" `Quick test_record_seal_known_answer;
           Alcotest.test_case "state serialization" `Quick test_record_state_serialization;
         ] );
       ( "chan",
