@@ -67,6 +67,14 @@ dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1
 echo "== schedule exploration: scenario matrix (pct) =="
 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --policy pct
 
+# The same matrix with the reference-model differential armed: every
+# memory event of every address space (maps, COW breaks, protection
+# changes, each access's observed bytes or fault) is replayed against an
+# independent model VM, which must agree at every step.  This is the
+# check that follows the page-table and frame layers end to end.
+echo "== schedule exploration: scenario matrix (reference-model diff) =="
+dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --diff
+
 # Recovery benchmark: the MTTR benchmark must produce its artifact
 # (shrunk incident count under the smoke flag; bench_recovery exits
 # nonzero if a hang client is neither cut nor turned away), and the

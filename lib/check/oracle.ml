@@ -99,7 +99,7 @@ let check_refcounts t =
   (match t.app with
   | None -> ()
   | Some app ->
-      List.iter (fun (_, frame) -> add frame) app.Engine.pristine;
+      Pagetable.image_iter (fun _ pte -> add pte.Pagetable.frame) app.Engine.pristine;
       List.iter
         (fun (tag : Tag.t) -> Array.iter add tag.Tag.frames)
         (Tag.live_tags app.Engine.tags);

@@ -110,7 +110,9 @@ type app = {
   mutable data_pages : int;  (* image pages + boundary pages *)
   image_pages : int;
   mutable booted : bool;
-  mutable pristine : (int * int) list;  (* (vpn, frame) of the snapshot *)
+  mutable pristine : Pagetable.image;
+      (* the boot snapshot, shared as the base layer of every compartment's
+         page table; holds one reference on each of its frames *)
   mutable main : ctx option;
   recycled_pool : (string, pooled) Hashtbl.t;
       (* long-lived sthreads backing recycled callgates, keyed by gate
@@ -253,7 +255,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       data_pages = image_pages;
       image_pages;
       booted = false;
-      pristine = [];
+      pristine = Pagetable.image ~first:0 ~frames:[||] ~prot:Prot.page_cow;
       main = None;
       recycled_pool = Hashtbl.create 8;
       frozen_images = [];
@@ -297,7 +299,9 @@ let find_boundary app id =
 (* Snapshot of the program image just before main() runs (§4.1): record the
    frames, take a snapshot reference on each, and mark the owner's pages
    copy-on-write so later writes never alter the snapshot.  Boundary
-   sections are excluded, so sthreads do not receive them by default. *)
+   sections are excluded (holes in the image), so sthreads do not receive
+   them by default.  The snapshot is built once as a shared page-table
+   image that every compartment's table points at. *)
 let boot app =
   if app.booted then invalid_arg "Engine.boot: already booted";
   let main = main_ctx app in
@@ -311,20 +315,20 @@ let boot app =
       app.boundaries
   in
   let first = Layout.data_base / page_size in
-  let snapshot = ref [] in
+  let frames = Array.make app.data_pages (-1) in
   for vpn = first to first + app.data_pages - 1 do
     if not (in_boundary vpn) then
       match Pagetable.find (Vm.page_table vm) ~vpn with
       | Some pte ->
           Physmem.incref pm pte.Pagetable.frame;
-          snapshot := (vpn, pte.Pagetable.frame) :: !snapshot;
+          frames.(vpn - first) <- pte.Pagetable.frame;
           (* Through Vm so the owner's cached translations are shot down:
              a warm write entry surviving this downgrade would let post-boot
              writes land on the snapshot's shared frames. *)
           Vm.set_page_prot vm ~addr:(vpn * page_size) ~prot:Prot.page_cow
       | None -> ()
   done;
-  app.pristine <- List.rev !snapshot;
+  app.pristine <- Pagetable.image ~first ~frames ~prot:Prot.page_cow;
   app.booted <- true
 
 (* ------------------------------------------------------------------ *)
@@ -412,14 +416,14 @@ let resolve_identity parent (sc : Sc.t) =
 let resolve_limits parent (sc : Sc.t) =
   Rlimit.child_of (Option.value sc.Sc.limits ~default:parent.proc.Process.limits)
 
-(* Map the pristine snapshot copy-on-write into a new sthread. *)
+(* Map the pristine snapshot copy-on-write into a new sthread: the
+   simulated kernel still copies one PTE per snapshot page (§4.1, E8), but
+   the table itself just points at the shared image. *)
 let map_pristine app (vm : Vm.t) =
   let cm = app.kernel.Kernel.costs in
-  List.iter
-    (fun (vpn, frame) ->
-      Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
-      Vm.map_frame vm ~addr:(vpn * page_size) ~frame ~prot:Prot.page_cow ~tag:None)
-    app.pristine
+  Clock.charge app.kernel.Kernel.clock
+    (Pagetable.image_count app.pristine * cm.Cost_model.pte_copy);
+  Vm.attach_image vm app.pristine
 
 (* Map a policy's tag grants into a new sthread's address space. *)
 let map_tag_grants app (child : Process.t) (sc : Sc.t) =

@@ -154,5 +154,14 @@ let digest b =
 
 let digest_string s = digest (Bytes.of_string s)
 
+let nibbles = "0123456789abcdef"
+
 let hex b =
-  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  let n = Bytes.length b in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (Bytes.unsafe_get b i) in
+    Bytes.unsafe_set out (2 * i) nibbles.[c lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) nibbles.[c land 15]
+  done;
+  Bytes.unsafe_to_string out

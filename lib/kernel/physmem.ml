@@ -4,8 +4,12 @@ let page_size = 4096
 
 exception Enomem
 
+(* A frame is live while its reference count is positive.  Its backing
+   store is [Bytes.empty] until the first [get] gives it a zeroed 4 KiB
+   buffer, and is dropped again when the frame dies, so a reused frame is
+   born zero without a scrub and a frame nobody touches costs no buffer. *)
 type t = {
-  mutable frames : bytes option array;
+  mutable frames : bytes array;
   mutable refs : int array;
   free : int Queue.t;
   mutable used : int;
@@ -16,7 +20,7 @@ type t = {
 
 let create ?faults ?max_frames () =
   {
-    frames = Array.make 64 None;
+    frames = Array.make 64 Bytes.empty;
     refs = Array.make 64 0;
     free = Queue.create ();
     used = 0;
@@ -27,7 +31,7 @@ let create ?faults ?max_frames () =
 
 let grow t =
   let n = Array.length t.frames in
-  let frames = Array.make (n * 2) None in
+  let frames = Array.make (n * 2) Bytes.empty in
   Array.blit t.frames 0 frames 0 n;
   let refs = Array.make (n * 2) 0 in
   Array.blit t.refs 0 refs 0 n;
@@ -50,26 +54,29 @@ let alloc t =
         t.next <- t.next + 1;
         f
   in
-  t.frames.(f) <- Some (Bytes.make page_size '\000');
   t.refs.(f) <- 1;
   t.used <- t.used + 1;
   f
 
 let get t f =
-  match t.frames.(f) with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Physmem.get: dead frame %d" f)
+  if t.refs.(f) <= 0 then invalid_arg (Printf.sprintf "Physmem.get: dead frame %d" f);
+  let b = Array.unsafe_get t.frames f in
+  if Bytes.length b > 0 then b
+  else begin
+    let b = Bytes.make page_size '\000' in
+    Array.unsafe_set t.frames f b;
+    b
+  end
 
 let incref t f =
-  if t.frames.(f) = None then invalid_arg "Physmem.incref: dead frame";
+  if t.refs.(f) <= 0 then invalid_arg "Physmem.incref: dead frame";
   t.refs.(f) <- t.refs.(f) + 1
 
 let decref t f =
-  if t.frames.(f) = None then invalid_arg "Physmem.decref: dead frame";
+  if t.refs.(f) <= 0 then invalid_arg "Physmem.decref: dead frame";
   t.refs.(f) <- t.refs.(f) - 1;
-  if t.refs.(f) <= 0 then begin
-    t.frames.(f) <- None;
-    t.refs.(f) <- 0;
+  if t.refs.(f) = 0 then begin
+    t.frames.(f) <- Bytes.empty;
     t.used <- t.used - 1;
     Queue.push f t.free
   end
@@ -79,5 +86,5 @@ let frames_in_use t = t.used
 
 let iter_live t f =
   for i = 0 to t.next - 1 do
-    match t.frames.(i) with Some _ -> f i t.refs.(i) | None -> ()
+    if t.refs.(i) > 0 then f i t.refs.(i)
   done

@@ -2,7 +2,12 @@
 
     Frames are shared between address spaces for copy-on-write (the pristine
     snapshot of §4.1) and for tagged-memory mappings; the reference count
-    decides whether a COW write can claim the frame in place or must copy. *)
+    decides whether a COW write can claim the frame in place or must copy.
+
+    Frames get their memory on first touch: a frame is born zero, and its
+    4 KiB backing store is created by the first {!get} and dropped when
+    the frame dies.  {!get} is the only door to a frame's bytes, so a
+    frame that is mapped but never read or written costs no buffer. *)
 
 val page_size : int
 (** 4096. *)
@@ -20,11 +25,13 @@ val create : ?faults:Wedge_fault.Fault_plan.t -> ?max_frames:int -> unit -> t
 
 val alloc : t -> int
 (** Allocate a zeroed frame with reference count 1; returns the frame
-    number.
+    number.  Allocates no backing store (see {!get}).
     @raise Enomem on budget exhaustion or injected allocation failure. *)
 
 val get : t -> int -> bytes
-(** The backing bytes of a live frame.  O(1).
+(** The backing bytes of a live frame.  O(1).  The first call on a frame
+    creates its zeroed store; later calls return the same buffer until
+    the frame dies.
     @raise Invalid_argument on a dead frame. *)
 
 val incref : t -> int -> unit

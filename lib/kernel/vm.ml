@@ -272,6 +272,29 @@ let map_image t entries =
              }))
     entries
 
+(* Attach a shared base image (the pristine snapshot): one frame reference
+   per mapped slot, taken in an allocation-free loop, and no per-page
+   table work — the entries stay in the image until this space mutates
+   one.  No cost is charged here (the caller accounts the simulated PTE
+   copies).  Recorder events are emitted per page, so a differential
+   reference VM sees the same stream as for page-by-page mapping. *)
+let attach_image t img =
+  Pagetable.attach t.pt img;
+  Pagetable.image_iter (fun _ pte -> Physmem.incref t.pm pte.Pagetable.frame) img;
+  if recording t then
+    Pagetable.image_iter
+      (fun vpn (pte : Pagetable.pte) ->
+        emit t
+          (Ev_map
+             {
+               pid = t.pid;
+               vpn;
+               frame = pte.frame;
+               prot = pte.prot;
+               seed = Some (Bytes.copy (Physmem.get t.pm pte.frame));
+             }))
+      img
+
 let share_range ~src ~dst ~addr ~pages ~prot =
   check_aligned addr;
   for i = 0 to pages - 1 do
@@ -320,7 +343,7 @@ let unmap_range t ~addr ~pages =
 let protect_range t ~addr ~pages ~prot =
   check_aligned addr;
   for i = 0 to pages - 1 do
-    match Pagetable.find t.pt ~vpn:(vpn_of addr + i) with
+    match Pagetable.find_private t.pt ~vpn:(vpn_of addr + i) with
     | Some pte ->
         Clock.charge t.clock t.costs.Cost_model.pte_copy;
         pte.Pagetable.prot <- prot;
@@ -335,7 +358,7 @@ let protect_range t ~addr ~pages ~prot =
    these are exactly the "behind the VM's back" mutations that used to
    touch the page table directly. *)
 let set_page_prot t ~addr ~prot =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.prot <- prot;
       tlb_invalidate t ~vpn:(vpn_of addr);
@@ -343,21 +366,27 @@ let set_page_prot t ~addr ~prot =
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_prot: 0x%x unmapped" addr)
 
 let set_page_tag t ~addr ~tag =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.tag <- tag;
       tlb_invalidate t ~vpn:(vpn_of addr)
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_tag: 0x%x unmapped" addr)
 
+(* Teardown in one pass.  The quota units go back in bulk — every owned
+   vpn is mapped (an oracle invariant), so unmapping everything releases
+   exactly [owned] units.  Frames are released in [Pagetable.iter] order:
+   the base image's live slots by ascending vpn, then the overlay in its
+   hash table's iteration order, which is a pure function of this
+   space's map/unmap history — so the free list, and every frame number
+   handed out after it, stays deterministic. *)
 let destroy t =
   tlb_flush t;
-  let frames = Pagetable.fold (fun vpn pte acc -> (vpn, pte.Pagetable.frame) :: acc) t.pt [] in
-  List.iter
-    (fun (vpn, frame) ->
-      ignore (Pagetable.unmap t.pt ~vpn);
-      release_owned t vpn;
-      Physmem.decref t.pm frame)
-    frames;
+  (match t.limits with
+  | Some l -> Rlimit.release_frames l (Hashtbl.length t.owned)
+  | None -> ());
+  Hashtbl.reset t.owned;
+  Pagetable.iter (fun _ pte -> Physmem.decref t.pm pte.Pagetable.frame) t.pt;
+  Pagetable.clear t.pt;
   if recording t then emit t (Ev_destroy { pid = t.pid })
 
 let mapped_pages t = Pagetable.count t.pt
@@ -367,8 +396,15 @@ let mapped_pages t = Pagetable.count t.pt
    ballooning the shared pristine image pays for every page it dirties).
    The frame swap happens in place — no epoch movement — so the explicit
    shootdown below is what stops a cached read entry from serving the old
-   shared frame's bytes after the break. *)
-let cow_break t ~vpn (pte : Pagetable.pte) =
+   shared frame's bytes after the break.  The entry is fetched private, so
+   a break on a base-image page copies the entry up first and the shared
+   image is never written.  Returns the (private) entry. *)
+let cow_break t ~vpn =
+  let pte =
+    match Pagetable.find_private t.pt ~vpn with
+    | Some pte -> pte
+    | None -> invalid_arg "Vm.cow_break: unmapped page"
+  in
   Clock.charge t.clock t.costs.Cost_model.page_copy;
   if Physmem.refcount t.pm pte.frame > 1 then begin
     let fresh = alloc_charged t vpn in
@@ -379,32 +415,34 @@ let cow_break t ~vpn (pte : Pagetable.pte) =
   pte.prot <- { pr = true; pw = true; pcow = false };
   tlb_invalidate t ~vpn;
   if recording t then
-    emit t (Ev_cow { pid = t.pid; vpn; frame = pte.frame; prot = pte.prot })
+    emit t (Ev_cow { pid = t.pid; vpn; frame = pte.frame; prot = pte.prot });
+  pte
 
 (* The slow path: one page-table walk.  Injected faults are rolled by the
    callers, once per access (see [roll_access]), not here — a bulk read
    is one access however many pages it crosses. *)
 let pte_for t addr access check =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  let vpn = vpn_of addr in
+  match Pagetable.find t.pt ~vpn with
   | None -> fault t addr access "unmapped page"
-  | Some pte ->
+  | Some pte -> (
       let p = pte.Pagetable.prot in
-      (match access with
-      | Read -> if check && not p.Prot.pr then fault t addr Read "no read permission"
+      match access with
+      | Read ->
+          if check && not p.Prot.pr then fault t addr Read "no read permission";
+          pte
       | Write ->
-          if p.Prot.pw then ()
-          else if p.Prot.pcow then cow_break t ~vpn:(vpn_of addr) pte
+          if p.Prot.pw then pte
+          else if p.Prot.pcow then cow_break t ~vpn
           else if check then fault t addr Write "no write permission"
-          else if not p.Prot.pw then
+          else if Physmem.refcount t.pm pte.Pagetable.frame > 1 then begin
             (* Kernel writes still must not corrupt shared frames. *)
-            if Physmem.refcount t.pm pte.Pagetable.frame > 1 then begin
-              let prot = p in
-              cow_break t ~vpn:(vpn_of addr) pte;
-              pte.Pagetable.prot <- prot;
-              if recording t then
-                emit t (Ev_prot { pid = t.pid; vpn = vpn_of addr; prot })
-            end);
-      pte
+            let pte = cow_break t ~vpn in
+            pte.Pagetable.prot <- p;
+            if recording t then emit t (Ev_prot { pid = t.pid; vpn; prot = p });
+            pte
+          end
+          else pte)
 
 (* Can a cached entry serve this access?  Reads need pr (kernel reads are
    exempt, as in the slow path); writes need pw exactly — a COW page must

@@ -133,6 +133,16 @@ val map_image : t -> (int * int * Prot.page * int option) list -> unit
     restore spawn).  Recorder events are emitted per page so differential
     reference VMs track the mappings. *)
 
+val attach_image : t -> Pagetable.image -> unit
+(** Attach a shared base image (see {!Pagetable.attach}): one frame
+    reference per mapped slot, no per-page table work and no cost charged
+    — the caller accounts the simulated PTE copies.  Each slot is copied
+    up into this space's own table only when it is first mutated (a COW
+    break, protection or tag rewrite, unmap).  Recorder events are
+    emitted per page, exactly as for page-by-page mapping.
+    @raise Invalid_argument if the space already has a base image or maps
+    a vpn the image covers. *)
+
 val share_range :
   src:t -> dst:t -> addr:int -> pages:int -> prot:Prot.page -> unit
 (** Map [src]'s frames for [addr..] into [dst] with protection [prot]
@@ -156,7 +166,10 @@ val set_page_tag : t -> addr:int -> tag:int option -> unit
     Raises [Invalid_argument] if unmapped. *)
 
 val destroy : t -> unit
-(** Unmap everything, releasing frame references (flushes the TLB first). *)
+(** Unmap everything, releasing frame references and quota units (flushes
+    the TLB first).  Frames are released in {!Pagetable.iter} order — base
+    image slots by ascending vpn, then the private overlay — so the frame
+    free list stays a deterministic function of the run. *)
 
 val mapped_pages : t -> int
 

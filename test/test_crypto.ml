@@ -294,6 +294,28 @@ let test_sha256_vectors () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (t (String.make 1_000_000 'a'))
 
+(* [hex] is a lookup-table encoder; pin it against the printf reference it
+   replaced, over every byte value and the FIPS digests above. *)
+let test_sha256_hex () =
+  let reference b =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  in
+  check Alcotest.string "empty" "" (Sha256.hex Bytes.empty);
+  check Alcotest.string "edges" "00017f80feff" (Sha256.hex (Bytes.of_string "\x00\x01\x7f\x80\xfe\xff"));
+  let all = Bytes.init 256 Char.chr in
+  check Alcotest.string "all byte values" (reference all) (Sha256.hex all);
+  List.iter
+    (fun (msg, want) ->
+      let d = Sha256.digest_string msg in
+      check Alcotest.string msg want (Sha256.hex d);
+      check Alcotest.string (msg ^ " = reference") (reference d) (Sha256.hex d))
+    [
+      ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+    ]
+
 let test_sha256_incremental () =
   let one_shot = Sha256.digest_string "the quick brown fox jumps over the lazy dog" in
   let ctx = Sha256.init () in
@@ -593,6 +615,7 @@ let () =
       ( "sha256",
         [
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "hex known answers" `Quick test_sha256_hex;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
         ]
         @ qcheck [ prop_sha256_incremental_split ] );

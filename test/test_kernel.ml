@@ -52,6 +52,41 @@ let test_physmem_reuse () =
   check Alcotest.int "frame number reused" f g;
   check Alcotest.char "scrubbed on alloc" '\000' (Bytes.get (Physmem.get pm g) 0)
 
+(* Frames get their memory on first touch, and lose it when they die: a
+   frame written all over, freed and handed out again reads as zeros. *)
+let test_physmem_reuse_reads_zero () =
+  let pm = Physmem.create () in
+  let f = Physmem.alloc pm in
+  Bytes.fill (Physmem.get pm f) 0 ps '\xff';
+  Physmem.decref pm f;
+  let g = Physmem.alloc pm in
+  check Alcotest.int "frame number reused" f g;
+  check Alcotest.bool "whole page zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Physmem.get pm g))
+
+(* A fresh frame nobody reads or writes allocates no 4 KiB buffer: a
+   256-page map_fresh stays far below one buffer per page on the major
+   heap, and the first touch of one page is what pays for its buffer. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+let test_physmem_first_touch () =
+  let pm, vm = mk_vm () in
+  let buffer_words = (ps / (Sys.word_size / 8)) + 1 in
+  let w0 = major_words () in
+  Vm.map_fresh vm ~addr:0x100000 ~pages:256 ~prot:Prot.page_rw ~tag:None;
+  let mapped = major_words () -. w0 in
+  check Alcotest.bool
+    (Printf.sprintf "256 untouched pages: %.0f major words < 16 buffers" mapped)
+    true
+    (mapped < float_of_int (16 * buffer_words));
+  let w1 = major_words () in
+  Vm.write_u8 vm 0x100000 1;
+  check Alcotest.bool "first touch allocates the buffer" true
+    (major_words () -. w1 >= float_of_int buffer_words);
+  check Alcotest.int "all 256 frames live" 256 (Physmem.frames_in_use pm)
+
 let test_physmem_dead_access () =
   let pm = Physmem.create () in
   let f = Physmem.alloc pm in
@@ -576,6 +611,218 @@ let test_pagetable_epoch_moves_on_structural_change () =
   ignore (Pagetable.unmap pt ~vpn:1);
   check Alcotest.bool "unmap advances epoch" true (Pagetable.epoch pt > e1)
 
+(* ---------- Shared base layer ---------- *)
+
+(* An owner address space with [pages] fresh pages at vpn 0x10.. each
+   holding its own label, and a COW image of them (hole at slot [hole],
+   if given) holding one snapshot reference per frame — what boot builds
+   for the pristine snapshot. *)
+let base_first = 0x10
+
+let mk_image ?hole ~pages pm owner =
+  Vm.map_fresh owner ~addr:(base_first * ps) ~pages ~prot:Prot.page_rw ~tag:None;
+  let frames =
+    Array.init pages (fun i ->
+        let vpn = base_first + i in
+        Vm.write_bytes owner (vpn * ps) (Bytes.of_string (Printf.sprintf "page%02d" i));
+        if Some i = hole then -1
+        else
+          match Pagetable.find (Vm.page_table owner) ~vpn with
+          | Some pte ->
+              Physmem.incref pm pte.Pagetable.frame;
+              pte.Pagetable.frame
+          | None -> assert false)
+  in
+  (frames, Pagetable.image ~first:base_first ~frames ~prot:Prot.page_cow)
+
+let read_label vm i = Bytes.to_string (Vm.read_bytes vm ((base_first + i) * ps) 6)
+
+let test_base_cow_leaves_siblings () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let owner = Vm.create ~pid:1 pm clock Cost_model.free in
+  let frames, img = mk_image ~pages:4 pm owner in
+  let a = Vm.create ~pid:2 pm clock Cost_model.free in
+  let b = Vm.create ~pid:3 pm clock Cost_model.free in
+  Vm.attach_image a img;
+  Vm.attach_image b img;
+  check Alcotest.string "a reads the snapshot" "page01" (read_label a 1);
+  Vm.write_bytes a ((base_first + 1) * ps) (Bytes.of_string "dirty!");
+  check Alcotest.string "a sees its write" "dirty!" (read_label a 1);
+  check Alcotest.string "sibling unchanged" "page01" (read_label b 1);
+  check Alcotest.string "snapshot frame unchanged" "page01"
+    (Bytes.sub_string (Physmem.get pm frames.(1)) 0 6);
+  let c = Vm.create ~pid:4 pm clock Cost_model.free in
+  Vm.attach_image c img;
+  check Alcotest.string "later compartment unchanged" "page01" (read_label c 1);
+  (match Pagetable.find (Vm.page_table c) ~vpn:(base_first + 1) with
+  | Some pte ->
+      check Alcotest.int "image still maps the snapshot frame" frames.(1) pte.Pagetable.frame;
+      check Alcotest.bool "image entry still COW" true (pte.Pagetable.prot = Prot.page_cow)
+  | None -> Alcotest.fail "base slot missing");
+  (* The sibling can still break its own copy. *)
+  Vm.write_bytes b ((base_first + 1) * ps) (Bytes.of_string "mine!!");
+  check Alcotest.string "b's write" "mine!!" (read_label b 1);
+  check Alcotest.string "a keeps its copy" "dirty!" (read_label a 1)
+
+let test_base_unmap_and_protect () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let owner = Vm.create ~pid:1 pm clock Cost_model.free in
+  let frames, img = mk_image ~pages:4 pm owner in
+  let a = Vm.create ~pid:2 pm clock Cost_model.free in
+  let b = Vm.create ~pid:3 pm clock Cost_model.free in
+  Vm.attach_image a img;
+  Vm.attach_image b img;
+  ignore (read_label a 0 ^ read_label a 2);
+  Vm.unmap_range a ~addr:(base_first * ps) ~pages:1;
+  expect_fault (fun () -> Vm.read_u8 a (base_first * ps));
+  check Alcotest.int "unmap dropped a's reference" 3 (Physmem.refcount pm frames.(0));
+  check Alcotest.int "a maps one page fewer" 3 (Vm.mapped_pages a);
+  Vm.protect_range a ~addr:((base_first + 2) * ps) ~pages:1 ~prot:Prot.page_none;
+  expect_fault (fun () -> Vm.read_u8 a ((base_first + 2) * ps));
+  check Alcotest.string "sibling still maps the unmapped page" "page00" (read_label b 0);
+  check Alcotest.string "sibling still reads the protected page" "page02" (read_label b 2);
+  Vm.write_bytes b ((base_first + 2) * ps) (Bytes.of_string "b-copy");
+  check Alcotest.string "sibling still COW-writable" "b-copy" (read_label b 2);
+  let c = Vm.create ~pid:4 pm clock Cost_model.free in
+  Vm.attach_image c img;
+  check Alcotest.string "later compartment maps page 0" "page00" (read_label c 0);
+  check Alcotest.string "later compartment reads page 2" "page02" (read_label c 2);
+  check Alcotest.int "later compartment maps all" 4 (Vm.mapped_pages c)
+
+let sorted_vpns pt =
+  List.sort compare (Pagetable.fold (fun vpn _ acc -> vpn :: acc) pt [])
+
+let test_base_walks_once () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let owner = Vm.create ~pid:1 pm clock Cost_model.free in
+  let _, img = mk_image ~hole:3 ~pages:6 pm owner in
+  let a = Vm.create ~pid:2 pm clock Cost_model.free in
+  let b = Vm.create ~pid:3 pm clock Cost_model.free in
+  Vm.attach_image a img;
+  Vm.attach_image b img;
+  Vm.map_fresh a ~addr:0x100000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  let pt = Vm.page_table a in
+  let walk () =
+    let it = ref [] in
+    Pagetable.iter (fun vpn _ -> it := vpn :: !it) pt;
+    let it = List.sort compare !it in
+    let fd = sorted_vpns pt in
+    check (Alcotest.list Alcotest.int) "iter = fold" fd it;
+    check Alcotest.int "count = walk length" (List.length fd) (Pagetable.count pt);
+    check Alcotest.bool "no vpn twice" true (List.sort_uniq compare fd = fd);
+    fd
+  in
+  let overlay = [ 0x100; 0x101 ] in
+  let base live = List.map (fun i -> base_first + i) live in
+  check (Alcotest.list Alcotest.int) "before copy-up" (base [ 0; 1; 2; 4; 5 ] @ overlay) (walk ());
+  (* Copy-ups: a COW break, a retag, a protection change. *)
+  Vm.write_u8 a ((base_first + 1) * ps) 7;
+  Vm.set_page_tag a ~addr:((base_first + 2) * ps) ~tag:(Some 9);
+  Vm.set_page_prot a ~addr:((base_first + 4) * ps) ~prot:Prot.page_r;
+  check (Alcotest.list Alcotest.int) "after copy-up" (base [ 0; 1; 2; 4; 5 ] @ overlay) (walk ());
+  Vm.unmap_range a ~addr:(base_first * ps) ~pages:2;
+  check (Alcotest.list Alcotest.int) "after unmap" (base [ 2; 4; 5 ] @ overlay) (walk ());
+  (* A hole and an unmapped base slot can be mapped privately again. *)
+  Vm.map_fresh a ~addr:((base_first + 3) * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  Vm.map_fresh a ~addr:(base_first * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  check (Alcotest.list Alcotest.int) "after remap" (base [ 0; 2; 3; 4; 5 ] @ overlay) (walk ());
+  check Alcotest.int "remapped slot is fresh" 0 (Vm.read_u8 a (base_first * ps));
+  (* The sibling's walk still reports the untouched image entries. *)
+  let seen = ref [] in
+  Pagetable.iter
+    (fun vpn (pte : Pagetable.pte) ->
+      seen := vpn :: !seen;
+      check Alcotest.bool "sibling entry still COW" true (pte.prot = Prot.page_cow);
+      check Alcotest.bool "sibling entry untagged" true (pte.tag = None))
+    (Vm.page_table b);
+  check (Alcotest.list Alcotest.int) "sibling walk" (base [ 0; 1; 2; 4; 5 ])
+    (List.sort compare !seen)
+
+let test_base_attach_rejected () =
+  let frames = [| 7; -1; 9 |] in
+  let img = Pagetable.image ~first:5 ~frames ~prot:Prot.page_cow in
+  let rejected f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let pt = Pagetable.create () in
+  Pagetable.map pt ~vpn:7 ~frame:1 ~prot:Prot.page_rw ~tag:None;
+  check Alcotest.bool "over a mapping" true (rejected (fun () -> Pagetable.attach pt img));
+  check Alcotest.int "table untouched" 1 (Pagetable.count pt);
+  let pt = Pagetable.create () in
+  Pagetable.map pt ~vpn:6 ~frame:1 ~prot:Prot.page_rw ~tag:None;
+  Pagetable.attach pt img;
+  check Alcotest.int "over a hole is fine" 3 (Pagetable.count pt);
+  check Alcotest.bool "a second image" true (rejected (fun () -> Pagetable.attach pt img));
+  check Alcotest.bool "map over a base slot" true
+    (rejected (fun () -> Pagetable.map pt ~vpn:5 ~frame:2 ~prot:Prot.page_rw ~tag:None));
+  (* Through Vm: a rejected attach takes no frame references. *)
+  let pm = Physmem.create () in
+  let owner = Vm.create ~pid:1 pm (Clock.create ()) Cost_model.free in
+  let frames, img = mk_image ~pages:2 pm owner in
+  let vm = Vm.create ~pid:2 pm (Clock.create ()) Cost_model.free in
+  Vm.map_fresh vm ~addr:((base_first + 1) * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  check Alcotest.bool "Vm.attach_image over a mapping" true
+    (rejected (fun () -> Vm.attach_image vm img));
+  check Alcotest.int "no reference taken" 2 (Physmem.refcount pm frames.(0))
+
+let test_base_find_private_copies_up () =
+  let pt = Pagetable.create () in
+  Pagetable.attach pt (Pagetable.image ~first:5 ~frames:[| 7; 8 |] ~prot:Prot.page_cow);
+  let e = Pagetable.epoch pt in
+  let shared = Option.get (Pagetable.find pt ~vpn:5) in
+  let own = Option.get (Pagetable.find_private pt ~vpn:5) in
+  check Alcotest.bool "private entry is a copy" false (own == shared);
+  own.Pagetable.prot <- Prot.page_rw;
+  check Alcotest.bool "shared entry untouched" true (shared.Pagetable.prot = Prot.page_cow);
+  check Alcotest.bool "find now serves the copy" true
+    (Option.get (Pagetable.find pt ~vpn:5) == own);
+  check Alcotest.int "copy-up does not move the epoch" e (Pagetable.epoch pt);
+  check Alcotest.int "count unchanged" 2 (Pagetable.count pt)
+
+(* Reaping a compartment that attached the image, broke COW pages, mapped
+   private memory and unmapped a base page returns physical memory to
+   exactly its pre-spawn state. *)
+let test_base_reap_restores_refcounts () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let spawn () =
+    Kernel.new_process k ~kind:Wedge_kernel.Process.Sthread ~uid:33 ~root:"/" ~sid:"u:r:t" ()
+  in
+  let owner = spawn () in
+  let frames, img = mk_image ~hole:2 ~pages:8 k.Kernel.pm owner.Wedge_kernel.Process.vm in
+  let live () =
+    let l = ref [] in
+    Physmem.iter_live k.Kernel.pm (fun f r -> l := (f, r) :: !l);
+    List.rev !l
+  in
+  let before = live () in
+  let frames_before = Physmem.frames_in_use k.Kernel.pm in
+  let p = spawn () in
+  let vm = p.Wedge_kernel.Process.vm in
+  Vm.attach_image vm img;
+  Vm.write_u8 vm ((base_first + 1) * ps) 1;
+  Vm.write_u8 vm ((base_first + 5) * ps) 1;
+  Vm.unmap_range vm ~addr:((base_first + 6) * ps) ~pages:1;
+  Vm.protect_range vm ~addr:((base_first + 7) * ps) ~pages:1 ~prot:Prot.page_r;
+  Vm.map_fresh vm ~addr:0x100000 ~pages:3 ~prot:Prot.page_rw ~tag:None;
+  Vm.write_u8 vm 0x100000 1;
+  check Alcotest.bool "spawn took frames" true
+    (Physmem.frames_in_use k.Kernel.pm > frames_before);
+  Kernel.reap k p;
+  check Alcotest.int "frames_in_use restored" frames_before (Physmem.frames_in_use k.Kernel.pm);
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "every refcount restored"
+    before (live ());
+  check Alcotest.int "reaped space maps nothing" 0 (Vm.mapped_pages vm);
+  let still = ref [] in
+  Pagetable.image_iter (fun _ pte -> still := pte.Pagetable.frame :: !still) img;
+  check (Alcotest.list Alcotest.int) "image still holds the snapshot frames"
+    (List.filter (fun f -> f >= 0) (Array.to_list frames))
+    (List.rev !still);
+  let q = spawn () in
+  Vm.attach_image q.Wedge_kernel.Process.vm img;
+  check Alcotest.string "next compartment reads the snapshot" "page05"
+    (read_label q.Wedge_kernel.Process.vm 5)
+
 (* Process iteration must be in ascending-pid order — Hashtbl.iter order
    depends on insertion history and hash-table internals, which made
    every oracle sweep and metrics fold schedule-dependent — and must
@@ -618,6 +865,8 @@ let () =
           Alcotest.test_case "alloc zeroed" `Quick test_physmem_alloc_zeroed;
           Alcotest.test_case "refcount" `Quick test_physmem_refcount;
           Alcotest.test_case "frame reuse" `Quick test_physmem_reuse;
+          Alcotest.test_case "reuse reads zero" `Quick test_physmem_reuse_reads_zero;
+          Alcotest.test_case "first touch" `Quick test_physmem_first_touch;
           Alcotest.test_case "dead frame access" `Quick test_physmem_dead_access;
           Alcotest.test_case "growth" `Quick test_physmem_growth;
         ] );
@@ -645,6 +894,15 @@ let () =
           Alcotest.test_case "unmap" `Quick test_pagetable_unmap;
           Alcotest.test_case "epoch on structural change" `Quick
             test_pagetable_epoch_moves_on_structural_change;
+        ] );
+      ( "base layer",
+        [
+          Alcotest.test_case "COW leaves siblings" `Quick test_base_cow_leaves_siblings;
+          Alcotest.test_case "unmap and protect" `Quick test_base_unmap_and_protect;
+          Alcotest.test_case "walks visit once" `Quick test_base_walks_once;
+          Alcotest.test_case "attach over mapping rejected" `Quick test_base_attach_rejected;
+          Alcotest.test_case "find_private copies up" `Quick test_base_find_private_copies_up;
+          Alcotest.test_case "reap restores refcounts" `Quick test_base_reap_restores_refcounts;
         ] );
       ( "tlb",
         [
