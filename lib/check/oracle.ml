@@ -106,12 +106,11 @@ let check_refcounts t =
       List.iter
         (fun (e : Tag_cache.entry) -> List.iter add e.Tag_cache.frames)
         (Tag_cache.entries app.Engine.tag_cache);
-      (* Frozen snapshot-pool images are pristine-like holders: each page
+      (* Frozen snapshot-pool images are pristine-like holders: each entry
          pins its frame with exactly one reference from freeze until
          discard, independent of how many stamped children map it. *)
       List.iter
-        (fun (_, pages) ->
-          List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) pages)
+        (fun (_, img) -> Pagetable.image_iter (fun _ pte -> add pte.Pagetable.frame) img)
         app.Engine.frozen_images);
   Physmem.iter_live t.kernel.Kernel.pm (fun frame refs ->
       let want = match Hashtbl.find_opt expected frame with Some n -> n | None -> 0 in
@@ -207,23 +206,20 @@ let check_frozen t =
   | None -> ()
   | Some app ->
       List.iter
-        (fun (name, pages) ->
-          List.iter
-            (fun (fz : Engine.frozen_page) ->
-              if fz.Engine.fz_prot.Prot.pcow then
+        (fun (name, img) ->
+          Pagetable.image_iter
+            (fun _ (fz : Pagetable.pte) ->
+              if fz.prot.Prot.pcow then
                 Kernel.iter_processes t.kernel (fun p ->
                     Pagetable.iter
                       (fun vpn (pte : Pagetable.pte) ->
-                        if
-                          pte.Pagetable.frame = fz.Engine.fz_frame
-                          && pte.Pagetable.prot.Prot.pw
-                        then
+                        if pte.frame = fz.frame && pte.prot.Prot.pw then
                           violation
                             "oracle: frozen image %s frame %d mapped writable at vpn \
                              0x%x by pid %d (stamp broke the image's COW)"
-                            name fz.Engine.fz_frame vpn p.Process.pid)
+                            name fz.frame vpn p.Process.pid)
                       (Vm.page_table p.Process.vm)))
-            pages)
+            img)
         app.Engine.frozen_images
 
 (* ------------------------------------------------------------------ *)

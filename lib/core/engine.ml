@@ -87,18 +87,6 @@ type boundary_section = {
   mutable b_tag : Tag.t option;
 }
 
-(* One page of a frozen compartment snapshot (see [Pool]): the frame it
-   pins, the protection a stamped child maps it with, and its tag.  The
-   registry lives on the app — not in [Pool] — so the invariant oracles
-   can re-derive frame refcounts (frozen images are pristine-like
-   holders) without a dependency on the pool module. *)
-type frozen_page = {
-  fz_vpn : int;
-  fz_frame : int;
-  fz_prot : Prot.page;
-  fz_tag : int option;
-}
-
 type app = {
   kernel : Kernel.t;
   layout : Layout.t;
@@ -117,9 +105,11 @@ type app = {
   recycled_pool : (string, pooled) Hashtbl.t;
       (* long-lived sthreads backing recycled callgates, keyed by gate
          name so they survive per-connection gate re-instantiation *)
-  mutable frozen_images : (string * frozen_page list) list;
-      (* frozen snapshot-pool images, newest first; each page holds one
-         Physmem reference until the image is discarded *)
+  mutable frozen_images : (string * Pagetable.image) list;
+      (* frozen snapshot-pool images (see [Pool]), newest first; each
+         entry holds one Physmem reference until the image is discarded.
+         The registry lives here, not in [Pool], so the invariant oracles
+         can walk them like [pristine] without depending on the pool. *)
   mutable pool_freezes : int;
   mutable pool_stamps : int;  (* stamp attempts, including faulted ones *)
   mutable pool_hits : int;  (* stamps that produced a running compartment *)
@@ -255,7 +245,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       data_pages = image_pages;
       image_pages;
       booted = false;
-      pristine = Pagetable.image ~first:0 ~frames:[||] ~prot:Prot.page_cow;
+      pristine = Pagetable.image [];
       main = None;
       recycled_pool = Hashtbl.create 8;
       frozen_images = [];
@@ -299,8 +289,8 @@ let find_boundary app id =
 (* Snapshot of the program image just before main() runs (§4.1): record the
    frames, take a snapshot reference on each, and mark the owner's pages
    copy-on-write so later writes never alter the snapshot.  Boundary
-   sections are excluded (holes in the image), so sthreads do not receive
-   them by default.  The snapshot is built once as a shared page-table
+   sections are left out of the image, so sthreads do not receive them by
+   default.  The snapshot is built once as a shared page-table
    image that every compartment's table points at. *)
 let boot app =
   if app.booted then invalid_arg "Engine.boot: already booted";
@@ -315,20 +305,20 @@ let boot app =
       app.boundaries
   in
   let first = Layout.data_base / page_size in
-  let frames = Array.make app.data_pages (-1) in
+  let entries = ref [] in
   for vpn = first to first + app.data_pages - 1 do
     if not (in_boundary vpn) then
       match Pagetable.find (Vm.page_table vm) ~vpn with
       | Some pte ->
           Physmem.incref pm pte.Pagetable.frame;
-          frames.(vpn - first) <- pte.Pagetable.frame;
+          entries := (vpn, pte.Pagetable.frame, Prot.page_cow, None) :: !entries;
           (* Through Vm so the owner's cached translations are shot down:
              a warm write entry surviving this downgrade would let post-boot
              writes land on the snapshot's shared frames. *)
           Vm.set_page_prot vm ~addr:(vpn * page_size) ~prot:Prot.page_cow
       | None -> ()
   done;
-  app.pristine <- Pagetable.image ~first ~frames ~prot:Prot.page_cow;
+  app.pristine <- Pagetable.image (List.rev !entries);
   app.booted <- true
 
 (* ------------------------------------------------------------------ *)
@@ -425,31 +415,44 @@ let map_pristine app (vm : Vm.t) =
     (Pagetable.image_count app.pristine * cm.Cost_model.pte_copy);
   Vm.attach_image vm app.pristine
 
-(* Map a policy's tag grants into a new sthread's address space. *)
-let map_tag_grants app (child : Process.t) (sc : Sc.t) =
+(* Map a policy's tag grants into a compartment's address space, one
+   [pte_copy] per page, skipping tags it already maps (a stamped image or
+   an earlier grant may provide them).  Returns the tags it mapped, last
+   first. *)
+let map_tags app (child : Process.t) (sc : Sc.t) =
   let cm = app.kernel.Kernel.costs in
-  List.iter
-    (fun { Sc.tag; grant } ->
-      let prot = Prot.page_of_grant grant in
-      Array.iteri
-        (fun i frame ->
-          Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
-          Vm.map_frame child.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame ~prot
-            ~tag:(Some tag.Tag.id))
-        tag.Tag.frames)
-    sc.Sc.mems
+  let vm = child.Process.vm in
+  List.fold_left
+    (fun mapped { Sc.tag; grant } ->
+      if Pagetable.mem (Vm.page_table vm) ~vpn:(tag.Tag.base / page_size) then mapped
+      else begin
+        let prot = Prot.page_of_grant grant in
+        Array.iteri
+          (fun i frame ->
+            Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
+            Vm.map_frame vm ~addr:(tag.Tag.base + (i * page_size)) ~frame ~prot
+              ~tag:(Some tag.Tag.id))
+          tag.Tag.frames;
+        tag :: mapped
+      end)
+    [] sc.Sc.mems
 
-(* Map a policy's grants into a new sthread's address space and fd table
-   (descriptors duplicated from the parent: sthread creation). *)
-let map_grants parent (child : Process.t) (sc : Sc.t) =
+(* Map a policy's grants into a compartment: its tags (see [map_tags]) and
+   its descriptors, duplicated from [parent] where the child lacks them —
+   one [fd_dup] each for a new sthread or stamp; a callgate's per-call
+   extras pass [~charge_fds:false].  Returns the tags it mapped. *)
+let map_grants ?(charge_fds = true) parent (child : Process.t) (sc : Sc.t) =
   let app = parent.app in
   let cm = app.kernel.Kernel.costs in
-  map_tag_grants app child sc;
+  let mapped = map_tags app child sc in
   List.iter
     (fun { Sc.fd; perm } ->
-      Clock.charge app.kernel.Kernel.clock cm.Cost_model.fd_dup;
-      Fd_table.dup_into ~src:parent.proc.Process.fds ~dst:child.Process.fds ~fd ~perm)
-    sc.Sc.fds
+      if Fd_table.find child.Process.fds fd = None then begin
+        if charge_fds then Clock.charge app.kernel.Kernel.clock cm.Cost_model.fd_dup;
+        Fd_table.dup_into ~src:parent.proc.Process.fds ~dst:child.Process.fds ~fd ~perm
+      end)
+    sc.Sc.fds;
+  mapped
 
 let run_compartment ctx fn arg =
   let cm = costs ctx in
@@ -491,6 +494,14 @@ let run_compartment ctx fn arg =
   charge ctx cm.Cost_model.context_switch;
   result
 
+(* The common tail of every compartment start (sthread, stamp, fork): run
+   it to completion, then reap its process. *)
+let run_and_reap cctx fn arg =
+  let handle = { h_proc = cctx.proc; h_result = None } in
+  handle.h_result <- run_compartment cctx fn arg;
+  Kernel.reap cctx.app.kernel cctx.proc;
+  handle
+
 let sthread_create ?instr parent (sc : Sc.t) fn arg =
   if not parent.app.booted then invalid_arg "sthread_create: application not booted";
   Kernel.syscall_check parent.app.kernel parent.proc "sthread_create";
@@ -502,13 +513,10 @@ let sthread_create ?instr parent (sc : Sc.t) fn arg =
     Kernel.new_process parent.app.kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid ()
   in
   map_pristine parent.app child.Process.vm;
-  map_grants parent child sc;
+  ignore (map_grants parent child sc);
   let cctx = make_ctx parent.app child sc (Option.value instr ~default:parent.instr) in
   trace_instant cctx "sthread.create";
-  let handle = { h_proc = child; h_result = None } in
-  handle.h_result <- run_compartment cctx fn arg;
-  Kernel.reap parent.app.kernel child;
-  handle
+  run_and_reap cctx fn arg
 
 let sthread_join parent handle =
   Kernel.syscall_check parent.app.kernel parent.proc "sthread_join";
@@ -538,22 +546,26 @@ let fork parent fn =
       ~kind:Process.Forked ~uid:p.Process.uid ~root:p.Process.root ~sid:p.Process.sid ()
   in
   let cm = costs parent in
-  let entries = Pagetable.fold (fun vpn pte acc -> (vpn, pte) :: acc) (Vm.page_table p.Process.vm) [] in
-  List.iter
-    (fun (vpn, (pte : Pagetable.pte)) ->
-      charge parent cm.Cost_model.pte_copy;
-      let prot = pte.Pagetable.prot in
-      let shared_prot =
-        if prot.Prot.pw then Prot.page_cow
-        else prot
-      in
-      (* Both sides go copy-on-write, as with a real fork; the parent's
-         downgrade goes through Vm so its TLB entries are shot down. *)
-      if prot.Prot.pw then
-        Vm.set_page_prot p.Process.vm ~addr:(vpn * page_size) ~prot:Prot.page_cow;
-      Vm.map_frame child.Process.vm ~addr:(vpn * page_size) ~frame:pte.Pagetable.frame
-        ~prot:shared_prot ~tag:pte.Pagetable.tag)
-    entries;
+  let walk =
+    Pagetable.fold
+      (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte.frame, pte.prot, pte.tag) :: acc)
+      (Vm.page_table p.Process.vm) []
+  in
+  (* One PTE copy per page.  Both sides go copy-on-write, as with a real
+     fork: the parent's downgrade goes through Vm so its TLB entries are
+     shot down, and the child's table is one image of the walk. *)
+  let entries =
+    List.map
+      (fun (vpn, frame, (prot : Prot.page), tag) ->
+        charge parent cm.Cost_model.pte_copy;
+        if prot.pw then begin
+          Vm.set_page_prot p.Process.vm ~addr:(vpn * page_size) ~prot:Prot.page_cow;
+          (vpn, frame, Prot.page_cow, tag)
+        end
+        else (vpn, frame, prot, tag))
+      walk
+  in
+  Vm.attach_image child.Process.vm (Pagetable.image entries);
   List.iter
     (fun fd ->
       match Fd_table.find p.Process.fds fd with
@@ -565,10 +577,7 @@ let fork parent fn =
   let cctx = make_ctx parent.app child parent.sc parent.instr in
   cctx.heap_ready <- parent.heap_ready;
   cctx.stack_ready <- parent.stack_ready;
-  let handle = { h_proc = child; h_result = None } in
-  handle.h_result <- run_compartment cctx (fun c _ -> fn c) 0;
-  Kernel.reap parent.app.kernel child;
-  handle
+  run_and_reap cctx (fun c _ -> fn c) 0
 
 (* A pthread shares everything with its creator: no new address space, no
    new descriptors — just thread bookkeeping and two context switches. *)
@@ -603,8 +612,6 @@ let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
             ~prot:Prot.page_rw ~tag:(Some tag.Tag.id))
         tag.Tag.frames;
       (* The cache's reference transfers to the registry. *)
-      List.iter (fun f -> Physmem.decref app.kernel.Kernel.pm f) entry.Tag_cache.frames;
-      List.iter (fun f -> Physmem.incref app.kernel.Kernel.pm f) entry.Tag_cache.frames;
       List.iter
         (fun (addr, w) -> Vm.write_u64 ctx.proc.Process.vm addr w)
         (Smalloc.prefill_image ~base:tag.Tag.base ~size:(pages * page_size));
@@ -805,7 +812,7 @@ let build_gate_proc caller (g : gate) kind =
       ~sid:g.g_sid ()
   in
   map_pristine caller.app child.Process.vm;
-  map_tag_grants caller.app child g.g_sc;
+  ignore (map_tags caller.app child g.g_sc);
   (* Descriptor grants were resolved against the creator at creation time
      (kernel-held): the caller needs no access to them. *)
   let cm = caller.app.kernel.Kernel.costs in
@@ -815,29 +822,6 @@ let build_gate_proc caller (g : gate) kind =
       Fd_table.install child.Process.fds ~fd target perm)
     g.g_fds;
   make_ctx caller.app child g.g_sc caller.instr
-
-let map_extra caller (gctx : ctx) (perms : Sc.t) =
-  (* Per-invocation permissions (typically the tag holding the argument). *)
-  let mapped = ref [] in
-  List.iter
-    (fun { Sc.tag; grant } ->
-      if priv_for_tag gctx.proc tag = None then begin
-        let prot = Prot.page_of_grant grant in
-        Array.iteri
-          (fun i frame ->
-            Clock.charge caller.app.kernel.Kernel.clock (costs caller).Cost_model.pte_copy;
-            Vm.map_frame gctx.proc.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame
-              ~prot ~tag:(Some tag.Tag.id))
-          tag.Tag.frames;
-        mapped := tag :: !mapped
-      end)
-    perms.Sc.mems;
-  List.iter
-    (fun { Sc.fd; perm } ->
-      if Fd_table.find gctx.proc.Process.fds fd = None then
-        Fd_table.dup_into ~src:caller.proc.Process.fds ~dst:gctx.proc.Process.fds ~fd ~perm)
-    perms.Sc.fds;
-  !mapped
 
 let cgate ?deadline_ns caller gid ~perms ~arg =
   Kernel.syscall_check caller.app.kernel caller.proc "cgate";
@@ -901,7 +885,7 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
           then Vm.unmap_range gctx.proc.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages)
         pooled.p_sc.Sc.mems;
       List.iter (fun { Sc.fd; _ } -> Fd_table.close gctx.proc.Process.fds fd) pooled.p_sc.Sc.fds;
-      map_tag_grants caller.app gctx.proc g.g_sc;
+      ignore (map_tags caller.app gctx.proc g.g_sc);
       List.iter
         (fun (fd, target, perm) ->
           Fd_table.close gctx.proc.Process.fds fd;
@@ -930,7 +914,8 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
     charge caller (2 * cm.Cost_model.futex_op);
     charge caller (2 * cm.Cost_model.context_switch);
     gctx.caller_pid <- Some (pid caller);
-    let extra = map_extra caller gctx perms in
+    (* Per-invocation permissions (typically the tag holding the argument). *)
+    let extra = map_grants ~charge_fds:false caller gctx.proc perms in
     let cleanup_extra () =
       if Process.is_alive gctx.proc then
         List.iter
@@ -977,7 +962,7 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
   else begin
     let gctx = build_gate_proc caller g Process.Cgate in
     gctx.caller_pid <- Some (pid caller);
-    ignore (map_extra caller gctx perms);
+    ignore (map_grants ~charge_fds:false caller gctx.proc perms);
     let result =
       match run_compartment gctx (fun c a -> g.g_entry c ~trusted:g.g_trusted ~arg:a) arg with
       | Some v -> v
@@ -1319,5 +1304,5 @@ let register_metrics m app =
       [
         ("pool.images", List.length app.frozen_images);
         ( "pool.frozen_frames",
-          List.fold_left (fun a (_, ps) -> a + List.length ps) 0 app.frozen_images );
+          List.fold_left (fun a (_, img) -> a + Pagetable.image_count img) 0 app.frozen_images );
       ])

@@ -2,22 +2,23 @@
    once, stamp new sthreads out of it in O(1).
 
    [freeze] builds a template worker the expensive way — pristine
-   snapshot mapped page by page, grants resolved, optionally a [warm]
+   snapshot charged page by page, grants resolved, optionally a [warm]
    body run so lazily-mapped private pages (heap, stack) exist — then
    checkpoints the template's entire address space: every frame gets one
    extra Physmem reference held by the image, private writable pages are
    recorded copy-on-write (the image must never change again), and the
-   template is reaped.  What survives is a list of
-   [Engine.frozen_page]s, the captured descriptor table, the rlimit
-   shape and the identity — no process, no address space.
+   template is reaped.  What survives is one [Pagetable.image], the
+   captured descriptor table, the rlimit shape and the identity — no
+   process, no address space.
 
    [stamp] is the paper's Figure 7/8 story taken further than recycled
-   callgates: a new sthread whose address space is the frozen image
-   bulk-installed via [Vm.map_image] at one flat [pool_stamp] charge,
-   however many pages the image holds.  Per-connection grants ride in
-   through [extra] (validated against the stamping parent like any sc),
-   so the O(1) cost is in the image size, not in the constant-sized
-   per-request policy.
+   callgates: a new sthread whose address space starts as the frozen
+   image, attached via [Vm.attach_image] (the same install path as the
+   pristine snapshot) at one flat [pool_stamp] charge, however many
+   pages the image holds.  Per-connection grants ride in through
+   [extra] (validated against the stamping parent like any sc), so the
+   O(1) cost is in the image size, not in the constant-sized per-request
+   policy.
 
    Both paths are attackable: fault sites ["pool.freeze"] and
    ["pool.stamp"] inject mid-operation, and the unwind must leave the
@@ -44,7 +45,7 @@ let page_size = Physmem.page_size
 type t = {
   name : string;
   app : Engine.app;
-  pages : Engine.frozen_page list;  (* the frozen image, one ref each *)
+  image : Pagetable.image;  (* the frozen address space, one ref per entry *)
   fds : (int * Fd_table.target * Fd_table.perm) list;
       (* descriptor table shape captured at freeze time *)
   limits : Rlimit.t;  (* caps shape stamped children inherit *)
@@ -55,7 +56,7 @@ type t = {
 }
 
 let name t = t.name
-let frozen_pages t = List.length t.pages
+let frozen_pages t = Pagetable.image_count t.image
 let is_live t = t.live
 
 let roll_site app site =
@@ -92,7 +93,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
   in
   match
     Engine.map_pristine app template.Process.vm;
-    Engine.map_grants parent template sc;
+    ignore (Engine.map_grants parent template sc);
     (* Mid-freeze fault site: the template exists and holds references,
        so the unwind below must release every one of them. *)
     roll_site app "pool.freeze";
@@ -103,36 +104,21 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
            pages (heap, stack) become part of the frozen image. *)
         let tctx = Engine.make_ctx app template sc parent.Engine.instr in
         body tctx);
-    (* Checkpoint: every mapped page, sorted by vpn so the image (and
-       every artifact derived from it) is deterministic.  Untagged
-       writable pages freeze copy-on-write — a stamped child that writes
-       one breaks into a private copy, never onto the image.  Tagged
-       pages keep their grant protection: tag memory is shared-mutable
-       by design, and COW-ing it would silently unshare the very
-       channels compartments communicate over. *)
-    let entries =
-      Pagetable.fold
-        (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte) :: acc)
-        (Vm.page_table template.Process.vm) []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
+    (* Checkpoint: every mapped page, one image reference each.
+       Untagged writable pages freeze copy-on-write — a stamped child
+       that writes one breaks into a private copy, never onto the image.
+       Tagged pages keep their grant protection: tag memory is
+       shared-mutable by design, and COW-ing it would silently unshare
+       the very channels compartments communicate over. *)
     let pm = app.Engine.kernel.Kernel.pm in
-    let pages =
-      List.map
-        (fun (vpn, (pte : Pagetable.pte)) ->
-          Physmem.incref pm pte.Pagetable.frame;
-          let prot =
-            if pte.Pagetable.prot.Prot.pw && pte.Pagetable.tag = None then
-              Prot.page_cow
-            else pte.Pagetable.prot
-          in
-          {
-            Engine.fz_vpn = vpn;
-            fz_frame = pte.Pagetable.frame;
-            fz_prot = prot;
-            fz_tag = pte.Pagetable.tag;
-          })
-        entries
+    let image =
+      Pagetable.image
+        (Pagetable.fold
+           (fun vpn (pte : Pagetable.pte) acc ->
+             Physmem.incref pm pte.frame;
+             let prot = if pte.prot.Prot.pw && pte.tag = None then Prot.page_cow else pte.prot in
+             (vpn, pte.frame, prot, pte.tag) :: acc)
+           (Vm.page_table template.Process.vm) [])
     in
     let fds =
       List.filter_map
@@ -143,7 +129,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
           | _ -> None)
         (Fd_table.fds template.Process.fds)
     in
-    (pages, fds)
+    (image, fds)
   with
   | exception e ->
       (* Unwind: the template's address space holds the only references
@@ -156,17 +142,17 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       Engine.stat parent "pool.freeze.fault";
       ignore (finish ());
       raise e
-  | pages, fds ->
+  | image, fds ->
       template.Process.status <- Process.Exited 0;
       Kernel.reap app.Engine.kernel template;
-      app.Engine.frozen_images <- (name, pages) :: app.Engine.frozen_images;
+      app.Engine.frozen_images <- (name, image) :: app.Engine.frozen_images;
       app.Engine.pool_freezes <- app.Engine.pool_freezes + 1;
       Engine.trace_instant parent "pool.frozen";
       finish
         {
           name;
           app;
-          pages;
+          image;
           fds;
           limits = Option.value sc.Sc.limits ~default:parent.Engine.proc.Process.limits;
           uid;
@@ -177,39 +163,6 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
 
 (* ------------------------------------------------------------------ *)
 (* Stamp                                                               *)
-
-(* Map the per-invocation extras on top of the image, skipping anything
-   the image already provides (same dedup rule as callgate extras). *)
-let map_extra_grants parent (child : Process.t) (extra : Sc.t) =
-  let app = parent.Engine.app in
-  let cm = app.Engine.kernel.Kernel.costs in
-  let clock = app.Engine.kernel.Kernel.clock in
-  List.iter
-    (fun { Sc.tag; grant } ->
-      if
-        not
-          (Pagetable.mem
-             (Vm.page_table child.Process.vm)
-             ~vpn:(tag.Wedge_mem.Tag.base / page_size))
-      then begin
-        let prot = Prot.page_of_grant grant in
-        Array.iteri
-          (fun i frame ->
-            Clock.charge clock cm.Cost_model.pte_copy;
-            Vm.map_frame child.Process.vm
-              ~addr:(tag.Wedge_mem.Tag.base + (i * page_size))
-              ~frame ~prot ~tag:(Some tag.Wedge_mem.Tag.id))
-          tag.Wedge_mem.Tag.frames
-      end)
-    extra.Sc.mems;
-  List.iter
-    (fun { Sc.fd; perm } ->
-      if Fd_table.find child.Process.fds fd = None then begin
-        Clock.charge clock cm.Cost_model.fd_dup;
-        Fd_table.dup_into ~src:parent.Engine.proc.Process.fds ~dst:child.Process.fds
-          ~fd ~perm
-      end)
-    extra.Sc.fds
 
 let stamp ?instr ?extra parent pool fn arg =
   if not pool.live then invalid_arg "Pool.stamp: image discarded";
@@ -237,14 +190,10 @@ let stamp ?instr ?extra parent pool fn arg =
   let kernel = app.Engine.kernel in
   let child = Kernel.new_process kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid () in
   match
-    (* The restore: the whole image lands for one flat charge — spawn
-       cost independent of address-space size. *)
+    (* The restore: the whole image is attached for one flat charge —
+       spawn cost independent of address-space size. *)
     Clock.charge kernel.Kernel.clock kernel.Kernel.costs.Cost_model.pool_stamp;
-    Vm.map_image child.Process.vm
-      (List.map
-         (fun (fz : Engine.frozen_page) ->
-           (fz.Engine.fz_vpn, fz.Engine.fz_frame, fz.Engine.fz_prot, fz.Engine.fz_tag))
-         pool.pages);
+    Vm.attach_image child.Process.vm pool.image;
     (* Mid-stamp fault site: pages are mapped (references taken) but the
        descriptor table is not yet populated — the unwind must return
        every reference and leave the frozen image untouched. *)
@@ -254,7 +203,9 @@ let stamp ?instr ?extra parent pool fn arg =
         Clock.charge kernel.Kernel.clock kernel.Kernel.costs.Cost_model.fd_dup;
         Fd_table.install child.Process.fds ~fd target perm)
       pool.fds;
-    map_extra_grants parent child extra
+    (* Per-invocation extras ride on top of the image, skipping what
+       it already provides. *)
+    ignore (Engine.map_grants parent child extra)
   with
   | exception e ->
       (match Engine.fault_reason e with
@@ -283,10 +234,7 @@ let stamp ?instr ?extra parent pool fn arg =
       if Pagetable.mem pt ~vpn:(Layout.stack_base / page_size) then
         cctx.Engine.stack_ready <- true;
       Engine.trace_instant cctx "pool.stamped";
-      let handle = { Engine.h_proc = child; h_result = None } in
-      handle.Engine.h_result <- Engine.run_compartment cctx fn arg;
-      Kernel.reap kernel child;
-      finish handle
+      finish (Engine.run_and_reap cctx fn arg)
 
 (* ------------------------------------------------------------------ *)
 (* Discard                                                             *)
@@ -298,11 +246,11 @@ let discard parent pool =
     Engine.stat parent "pool.discard";
     Engine.trace_instant parent "pool.discard";
     app.Engine.frozen_images <-
-      List.filter (fun (_, ps) -> ps != pool.pages) app.Engine.frozen_images;
+      List.filter (fun (_, img) -> img != pool.image) app.Engine.frozen_images;
     (* Dropping the image's references frees any frame no live address
        space still maps; frames shared with running stamped children
        survive on their references and die with their last unmap (which
        goes through the Vm teardown/shootdown path as usual). *)
     let pm = app.Engine.kernel.Kernel.pm in
-    List.iter (fun (fz : Engine.frozen_page) -> Physmem.decref pm fz.Engine.fz_frame) pool.pages
+    Pagetable.image_iter (fun _ pte -> Physmem.decref pm pte.Pagetable.frame) pool.image
   end

@@ -6,10 +6,12 @@
     worker instead: {!freeze} builds a template the expensive way (with
     an optional warm-up body so demand-mapped heap and stack pages join
     the image), pins every frame of its address space with an extra
-    reference, records private writable pages copy-on-write, captures
-    the descriptor-table and rlimit shape, and reaps the template.
-    {!stamp} then restores the whole image into a fresh sthread for one
-    flat [pool_stamp] charge, independent of how many pages it holds —
+    reference, records private writable pages copy-on-write in one
+    {!Wedge_kernel.Pagetable.image}, captures the descriptor-table and
+    rlimit shape, and reaps the template.  {!stamp} then starts a fresh
+    sthread by attaching that image ({!Wedge_kernel.Vm.attach_image}, the
+    same path as the pristine snapshot) for one flat [pool_stamp] charge,
+    independent of how many pages it holds —
     per-connection grants ride in through [extra] at the usual per-page/
     per-fd price, keeping the O(1) in the image, where the bytes are.
 
@@ -44,7 +46,7 @@ val stamp :
   int ->
   Engine.handle
 (** [stamp parent pool fn arg] creates a new sthread whose address space
-    is the frozen image, bulk-installed for one flat [pool_stamp] charge,
+    starts as the frozen image, attached for one flat [pool_stamp] charge,
     then runs [fn] in it like {!Engine.sthread_create} (same containment,
     same handle).  [extra] carries per-invocation grants — tags, fds,
     identity and limit overrides — validated against [parent] and mapped
@@ -62,7 +64,7 @@ val discard : Engine.ctx -> t -> unit
 
 val name : t -> string
 val frozen_pages : t -> int
-(** Pages in the frozen image (what one {!stamp} maps for its flat
+(** Pages in the frozen image (what one {!stamp} attaches for its flat
     charge). *)
 
 val is_live : t -> bool

@@ -17,8 +17,6 @@ let mac ~key ?(prefix = Bytes.empty) data =
   Sha256.update outer (Sha256.final inner);
   Sha256.final outer
 
-let mac_string ~key s = mac ~key (Bytes.of_string s)
-
 let verify ~key ?prefix data ~tag =
   let expect = mac ~key ?prefix data in
   Bytes.length tag = Bytes.length expect

@@ -7,6 +7,5 @@ val mac : key:bytes -> ?prefix:bytes -> bytes -> bytes
 (** 32-byte tag over [prefix ‖ data] (default: no prefix), hashed as two
     updates rather than concatenated. *)
 
-val mac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> ?prefix:bytes -> bytes -> tag:bytes -> bool
 (** Constant-time comparison. *)

@@ -4,10 +4,11 @@
     that policy checks and Crowbar attribution can name them.
 
     A table is a private overlay over an optional shared base layer: an
-    {!image} built once (the pristine boot snapshot) and attached to every
-    compartment started from it, so a new address space costs one pointer
-    rather than one entry per snapshot page.  Shared entries are never
-    mutated.  Before any entry for a base slot can change — a COW break, a
+    {!image} built once and attached to every compartment started from
+    it (the pristine boot snapshot, a frozen snapshot-pool image, or a
+    forked parent's walk), so a new address space costs one pointer
+    rather than one entry per page.  Shared entries are never mutated.
+    Before any entry for a base slot can change — a COW break, a
     protection or tag rewrite, an unmap — the slot is hidden and its entry
     copied up into the overlay ({!find_private}, {!unmap}).  Lookups and
     walks report exactly the live mappings, whichever layer serves them. *)
@@ -19,19 +20,23 @@ type pte = {
 }
 
 type image
-(** An immutable run of entries starting at one vpn, with holes. *)
+(** An immutable set of entries sorted by vpn, shared by every table it is
+    attached to. *)
 
-val image : first:int -> frames:int array -> prot:Prot.page -> image
-(** [image ~first ~frames ~prot] maps vpn [first + i] to [frames.(i)] with
-    protection [prot] and no tag; a negative frame is a hole (no mapping).
-    Takes no frame references — that is the caller's bookkeeping. *)
+val image : (int * int * Prot.page * int option) list -> image
+(** [image entries] maps each [(vpn, frame, prot, tag)], given in any
+    order.  A lookup outside the image's vpn range costs one range check,
+    one inside its leading run of consecutive vpns one index; only a vpn
+    past the first gap is binary-searched.  Takes no frame references —
+    that is the caller's bookkeeping.
+    @raise Invalid_argument if a vpn is given twice. *)
 
 val image_count : image -> int
-(** Number of mapped (non-hole) slots. *)
+(** Number of entries. *)
 
 val image_iter : (int -> pte -> unit) -> image -> unit
-(** [image_iter f img] calls [f vpn pte] for every mapped slot, in
-    ascending vpn order.  The entries are shared: never mutate them. *)
+(** [image_iter f img] calls [f vpn pte] for every entry, in ascending vpn
+    order.  The entries are shared: never mutate them. *)
 
 type t
 
@@ -49,7 +54,7 @@ val epoch : t -> int
 val attach : t -> image -> unit
 (** Make [image] this table's base layer.
     @raise Invalid_argument if a base layer is already attached or any
-    mapped slot of [image] is already mapped in the overlay. *)
+    vpn of [image] is already mapped in the overlay. *)
 
 val clear : t -> unit
 (** Drop every mapping, detaching the base layer.  Releases no frames. *)

@@ -68,6 +68,11 @@ let get t f =
     b
   end
 
+let scrub t f =
+  if t.refs.(f) <= 0 then invalid_arg (Printf.sprintf "Physmem.scrub: dead frame %d" f);
+  let b = Array.unsafe_get t.frames f in
+  if Bytes.length b > 0 then Bytes.fill b 0 page_size '\000'
+
 let incref t f =
   if t.refs.(f) <= 0 then invalid_arg "Physmem.incref: dead frame";
   t.refs.(f) <- t.refs.(f) + 1

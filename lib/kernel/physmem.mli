@@ -34,6 +34,11 @@ val get : t -> int -> bytes
     the frame dies.
     @raise Invalid_argument on a dead frame. *)
 
+val scrub : t -> int -> unit
+(** Zero a live frame's bytes.  A frame never touched has no store and
+    already reads as zero, so it stays without one.
+    @raise Invalid_argument on a dead frame. *)
+
 val incref : t -> int -> unit
 val decref : t -> int -> unit
 (** [decref] frees the frame when the count reaches zero. *)

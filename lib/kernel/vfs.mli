@@ -44,7 +44,6 @@ val append_file :
 val unlink : t -> root:string -> uid:int -> string -> (unit, error) result
 val readdir : t -> root:string -> uid:int -> string -> (string list, error) result
 val exists : t -> root:string -> string -> bool
-val file_size : t -> root:string -> uid:int -> string -> (int, error) result
 val chown : t -> string -> uid:int -> unit
 (** Administrative chown (no checks). *)
 

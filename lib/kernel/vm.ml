@@ -247,37 +247,13 @@ let map_frame t ~addr ~frame ~prot ~tag =
            seed = Some (Bytes.copy (Physmem.get t.pm frame));
          })
 
-(* Bulk-install a frozen snapshot image (compartment checkpoint/restore):
-   each entry takes one frame reference and lands directly in the page
-   table — the simulated analogue of pointing a child at a prepared
-   pagetable subtree, so no per-page cost is charged here (the caller
-   accounts one flat stamp charge however many pages the image holds).
-   Recorder events are emitted per page: a differential reference VM must
-   see these mappings exactly like any other, or COW breaks inside a
-   stamped child would diverge. *)
-let map_image t entries =
-  List.iter
-    (fun (vpn, frame, prot, tag) ->
-      Physmem.incref t.pm frame;
-      Pagetable.map t.pt ~vpn ~frame ~prot ~tag;
-      if recording t then
-        emit t
-          (Ev_map
-             {
-               pid = t.pid;
-               vpn;
-               frame;
-               prot;
-               seed = Some (Bytes.copy (Physmem.get t.pm frame));
-             }))
-    entries
-
-(* Attach a shared base image (the pristine snapshot): one frame reference
-   per mapped slot, taken in an allocation-free loop, and no per-page
-   table work — the entries stay in the image until this space mutates
-   one.  No cost is charged here (the caller accounts the simulated PTE
-   copies).  Recorder events are emitted per page, so a differential
-   reference VM sees the same stream as for page-by-page mapping. *)
+(* Attach a shared base image (the pristine snapshot, a frozen pool image,
+   a forked parent's walk): one frame reference per entry, taken in an
+   allocation-free loop, and no per-page table work — the entries stay in
+   the image until this space mutates one.  No cost is charged here (the
+   caller accounts its own: PTE copies or a flat stamp).  Recorder events
+   are emitted per page, so a differential reference VM sees the same
+   stream as for page-by-page mapping. *)
 let attach_image t img =
   Pagetable.attach t.pt img;
   Pagetable.image_iter (fun _ pte -> Physmem.incref t.pm pte.Pagetable.frame) img;

@@ -125,21 +125,16 @@ val map_frame :
   t -> addr:int -> frame:int -> prot:Prot.page -> tag:int option -> unit
 (** Map an existing frame (takes a reference). *)
 
-val map_image : t -> (int * int * Prot.page * int option) list -> unit
-(** Bulk-install a frozen snapshot image: each [(vpn, frame, prot, tag)]
-    entry takes one frame reference and lands directly in the page table.
-    No per-page cost is charged — the caller accounts one flat stamp
-    charge however many pages the image holds (the point of checkpoint/
-    restore spawn).  Recorder events are emitted per page so differential
-    reference VMs track the mappings. *)
-
 val attach_image : t -> Pagetable.image -> unit
-(** Attach a shared base image (see {!Pagetable.attach}): one frame
-    reference per mapped slot, no per-page table work and no cost charged
-    — the caller accounts the simulated PTE copies.  Each slot is copied
-    up into this space's own table only when it is first mutated (a COW
-    break, protection or tag rewrite, unmap).  Recorder events are
-    emitted per page, exactly as for page-by-page mapping.
+(** Attach a shared base image (see {!Pagetable.attach}): the one way a
+    compartment's address space starts, whether from the pristine
+    snapshot, a frozen pool image or a forked parent.  One frame reference
+    per entry, no per-page table work and no cost charged — the caller
+    accounts its own simulated charge (PTE copies, or a flat stamp).
+    Each entry is copied up into this space's own table only when it is
+    first mutated (a COW break, protection or tag rewrite, unmap).
+    Recorder events are emitted per page, exactly as for page-by-page
+    mapping.
     @raise Invalid_argument if the space already has a base image or maps
     a vpn the image covers. *)
 

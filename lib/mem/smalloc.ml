@@ -17,7 +17,6 @@ exception Out_of_tag_memory of { base : int; requested : int }
 let magic = 0x5745444745_53 (* "WEDGE-S" ish *)
 let overhead = 32
 let min_chunk = 32
-let min_alloc = 16
 let inuse_bit = 1
 
 let align8 n = (n + 7) land lnot 7

@@ -10,19 +10,17 @@ type t = {
   pm : Physmem.t;
   by_pages : (int, entry list ref) Hashtbl.t;
   mutable enabled : bool;
-  scrub : bool;
   mutable hits : int;
   mutable misses : int;
   mutable count : int;
   mutable scrubbed : int;
 }
 
-let create ?(enabled = true) ?(scrub = true) pm =
+let create pm =
   {
     pm;
     by_pages = Hashtbl.create 8;
-    enabled;
-    scrub;
+    enabled = true;
     hits = 0;
     misses = 0;
     count = 0;
@@ -52,12 +50,11 @@ let take t ~pages =
         l := rest;
         t.count <- t.count - 1;
         t.hits <- t.hits + 1;
-        if t.scrub then
-          List.iter
-            (fun f ->
-              Bytes.fill (Physmem.get t.pm f) 0 Physmem.page_size '\000';
-              t.scrubbed <- t.scrubbed + 1)
-            entry.frames;
+        List.iter
+          (fun f ->
+            Physmem.scrub t.pm f;
+            t.scrubbed <- t.scrubbed + 1)
+          entry.frames;
         Some entry
     | _ ->
         t.misses <- t.misses + 1;

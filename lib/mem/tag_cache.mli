@@ -2,10 +2,9 @@
 
     [tag_new] system-call and bookkeeping-initialisation overhead is
     mitigated by caching deleted tags and reusing them when a request of
-    the same page count arrives.  For secrecy the reused memory is scrubbed
-    (the cache holds references to the old frames, so without scrubbing the
-    previous owner's data would be visible — the [scrub] knob exists so a
-    test can demonstrate that leak).  The paper reports this cache
+    the same page count arrives.  For secrecy the reused memory is scrubbed:
+    the cache holds references to the old frames, so without scrubbing the
+    previous owner's data would be visible.  The paper reports this cache
     improved partitioned Apache throughput by 20% (ablation E7). *)
 
 type entry = {
@@ -16,7 +15,9 @@ type entry = {
 
 type t
 
-val create : ?enabled:bool -> ?scrub:bool -> Wedge_kernel.Physmem.t -> t
+val create : Wedge_kernel.Physmem.t -> t
+(** An empty, enabled cache. *)
+
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
@@ -27,7 +28,8 @@ val put : t -> entry -> unit
 
 val take : t -> pages:int -> entry option
 (** Pop a cached range with exactly [pages] pages, scrubbing its frames
-    (unless scrubbing is off). *)
+    ({!Wedge_kernel.Physmem.scrub}: a frame nobody touched stays without a
+    store). *)
 
 val entries : t -> entry list
 (** Every cached entry, in no particular order.  The refcount invariant
@@ -39,7 +41,7 @@ val misses : t -> int
 val size : t -> int
 
 val scrubbed_pages : t -> int
-(** Total pages scrubbed on reuse.  A counter, deliberately not a clock
+(** Total pages scrubbed on reuse, touched or not.  A counter, deliberately not a clock
     charge: billing [page_scrub] per reused page would erase the cheap
     tag-reuse effect the cache exists to reproduce (Figure 8); the
     counter keeps the secrecy work observable without distorting it. *)

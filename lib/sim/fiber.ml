@@ -46,12 +46,6 @@ type policy =
       (** replay recorded pool indices; out of range / exhausted entries
           fall back to index 0, so truncated traces still run *)
 
-let policy_to_string = function
-  | Round_robin -> "round-robin"
-  | Random seed -> Printf.sprintf "random:%d" seed
-  | Pct { seed; change_prob } -> Printf.sprintf "pct:%d:%g" seed change_prob
-  | Replay d -> Printf.sprintf "replay[%d]" (Array.length d)
-
 type task = {
   t_id : int;
   t_run : unit -> unit;

@@ -51,8 +51,6 @@ type policy =
       (** replay recorded pool indices; exhausted or out-of-range entries
           fall back to index 0, so truncated traces still run *)
 
-val policy_to_string : policy -> string
-
 val run :
   ?faults:Wedge_fault.Fault_plan.t ->
   ?clock:Clock.t ->

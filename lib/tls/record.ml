@@ -106,4 +106,3 @@ let of_bytes b =
   let seq_rx = seq_of (take 8) in
   { mac_tx; mac_rx; enc_tx; enc_rx; seq_tx; seq_rx }
 
-let mac_key_tx k = k.mac_tx

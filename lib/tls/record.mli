@@ -24,6 +24,3 @@ val open_ : keys -> bytes -> bytes option
 val state_size : int
 val to_bytes : keys -> bytes
 val of_bytes : bytes -> keys
-
-val mac_key_tx : keys -> bytes
-(** Exposed for tests asserting key secrecy end-to-end. *)

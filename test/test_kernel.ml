@@ -614,26 +614,31 @@ let test_pagetable_epoch_moves_on_structural_change () =
 (* ---------- Shared base layer ---------- *)
 
 (* An owner address space with [pages] fresh pages at vpn 0x10.. each
-   holding its own label, and a COW image of them (hole at slot [hole],
-   if given) holding one snapshot reference per frame — what boot builds
-   for the pristine snapshot. *)
+   holding its own label, and a COW image of them (leaving out slot
+   [absent], if given) holding one snapshot reference per entry — what
+   boot builds for the pristine snapshot.  [frames.(i)] is the owner's
+   frame for slot [i], in the image or not. *)
 let base_first = 0x10
 
-let mk_image ?hole ~pages pm owner =
+let mk_image ?absent ~pages pm owner =
   Vm.map_fresh owner ~addr:(base_first * ps) ~pages ~prot:Prot.page_rw ~tag:None;
   let frames =
     Array.init pages (fun i ->
         let vpn = base_first + i in
         Vm.write_bytes owner (vpn * ps) (Bytes.of_string (Printf.sprintf "page%02d" i));
-        if Some i = hole then -1
-        else
-          match Pagetable.find (Vm.page_table owner) ~vpn with
-          | Some pte ->
-              Physmem.incref pm pte.Pagetable.frame;
-              pte.Pagetable.frame
-          | None -> assert false)
+        (Option.get (Pagetable.find (Vm.page_table owner) ~vpn)).Pagetable.frame)
   in
-  (frames, Pagetable.image ~first:base_first ~frames ~prot:Prot.page_cow)
+  let entries =
+    List.filter_map
+      (fun i ->
+        if Some i = absent then None
+        else begin
+          Physmem.incref pm frames.(i);
+          Some (base_first + i, frames.(i), Prot.page_cow, None)
+        end)
+      (List.init pages Fun.id)
+  in
+  (frames, Pagetable.image entries)
 
 let read_label vm i = Bytes.to_string (Vm.read_bytes vm ((base_first + i) * ps) 6)
 
@@ -698,7 +703,7 @@ let test_base_walks_once () =
   let pm = Physmem.create () in
   let clock = Clock.create () in
   let owner = Vm.create ~pid:1 pm clock Cost_model.free in
-  let _, img = mk_image ~hole:3 ~pages:6 pm owner in
+  let _, img = mk_image ~absent:3 ~pages:6 pm owner in
   let a = Vm.create ~pid:2 pm clock Cost_model.free in
   let b = Vm.create ~pid:3 pm clock Cost_model.free in
   Vm.attach_image a img;
@@ -725,7 +730,7 @@ let test_base_walks_once () =
   check (Alcotest.list Alcotest.int) "after copy-up" (base [ 0; 1; 2; 4; 5 ] @ overlay) (walk ());
   Vm.unmap_range a ~addr:(base_first * ps) ~pages:2;
   check (Alcotest.list Alcotest.int) "after unmap" (base [ 2; 4; 5 ] @ overlay) (walk ());
-  (* A hole and an unmapped base slot can be mapped privately again. *)
+  (* An absent vpn and an unmapped base slot can be mapped privately again. *)
   Vm.map_fresh a ~addr:((base_first + 3) * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
   Vm.map_fresh a ~addr:(base_first * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
   check (Alcotest.list Alcotest.int) "after remap" (base [ 0; 2; 3; 4; 5 ] @ overlay) (walk ());
@@ -741,9 +746,10 @@ let test_base_walks_once () =
   check (Alcotest.list Alcotest.int) "sibling walk" (base [ 0; 1; 2; 4; 5 ])
     (List.sort compare !seen)
 
+let cow_entries l = List.map (fun (vpn, frame) -> (vpn, frame, Prot.page_cow, None)) l
+
 let test_base_attach_rejected () =
-  let frames = [| 7; -1; 9 |] in
-  let img = Pagetable.image ~first:5 ~frames ~prot:Prot.page_cow in
+  let img = Pagetable.image (cow_entries [ (5, 7); (7, 9) ]) in
   let rejected f = match f () with () -> false | exception Invalid_argument _ -> true in
   let pt = Pagetable.create () in
   Pagetable.map pt ~vpn:7 ~frame:1 ~prot:Prot.page_rw ~tag:None;
@@ -752,7 +758,7 @@ let test_base_attach_rejected () =
   let pt = Pagetable.create () in
   Pagetable.map pt ~vpn:6 ~frame:1 ~prot:Prot.page_rw ~tag:None;
   Pagetable.attach pt img;
-  check Alcotest.int "over a hole is fine" 3 (Pagetable.count pt);
+  check Alcotest.int "over an absent vpn is fine" 3 (Pagetable.count pt);
   check Alcotest.bool "a second image" true (rejected (fun () -> Pagetable.attach pt img));
   check Alcotest.bool "map over a base slot" true
     (rejected (fun () -> Pagetable.map pt ~vpn:5 ~frame:2 ~prot:Prot.page_rw ~tag:None));
@@ -768,7 +774,7 @@ let test_base_attach_rejected () =
 
 let test_base_find_private_copies_up () =
   let pt = Pagetable.create () in
-  Pagetable.attach pt (Pagetable.image ~first:5 ~frames:[| 7; 8 |] ~prot:Prot.page_cow);
+  Pagetable.attach pt (Pagetable.image (cow_entries [ (5, 7); (6, 8) ]));
   let e = Pagetable.epoch pt in
   let shared = Option.get (Pagetable.find pt ~vpn:5) in
   let own = Option.get (Pagetable.find_private pt ~vpn:5) in
@@ -789,7 +795,7 @@ let test_base_reap_restores_refcounts () =
     Kernel.new_process k ~kind:Wedge_kernel.Process.Sthread ~uid:33 ~root:"/" ~sid:"u:r:t" ()
   in
   let owner = spawn () in
-  let frames, img = mk_image ~hole:2 ~pages:8 k.Kernel.pm owner.Wedge_kernel.Process.vm in
+  let frames, img = mk_image ~absent:2 ~pages:8 k.Kernel.pm owner.Wedge_kernel.Process.vm in
   let live () =
     let l = ref [] in
     Physmem.iter_live k.Kernel.pm (fun f r -> l := (f, r) :: !l);
@@ -816,12 +822,131 @@ let test_base_reap_restores_refcounts () =
   let still = ref [] in
   Pagetable.image_iter (fun _ pte -> still := pte.Pagetable.frame :: !still) img;
   check (Alcotest.list Alcotest.int) "image still holds the snapshot frames"
-    (List.filter (fun f -> f >= 0) (Array.to_list frames))
+    (List.filteri (fun i _ -> i <> 2) (Array.to_list frames))
     (List.rev !still);
   let q = spawn () in
   Vm.attach_image q.Wedge_kernel.Process.vm img;
   check Alcotest.string "next compartment reads the snapshot" "page05"
     (read_label q.Wedge_kernel.Process.vm 5)
+
+(* ---------- Sparse images ---------- *)
+
+(* An image the way a forked or stamped compartment's starts: a run of
+   data pages, then heap, tag and stack pages far apart, so only the data
+   run is in the dense prefix and the rest is found by binary search. *)
+module Layout = Wedge_kernel.Layout
+
+let data_vpn = Layout.data_base / ps
+let heap_vpn = Layout.heap_base / ps
+let tag_vpn = Layout.tag_base / ps
+let stack_vpn = Layout.stack_base / ps
+
+let sparse_entries =
+  [
+    (stack_vpn, 106, Prot.page_rw, None);
+    (data_vpn + 1, 101, Prot.page_cow, None);
+    (tag_vpn, 105, Prot.page_rw, Some 3);
+    (heap_vpn, 103, Prot.page_cow, None);
+    (data_vpn, 100, Prot.page_cow, None);
+    (heap_vpn + 1, 104, Prot.page_cow, None);
+    (data_vpn + 2, 102, Prot.page_r, None);
+  ]
+
+let sparse_vpns = List.sort compare (List.map (fun (v, _, _, _) -> v) sparse_entries)
+
+let test_sparse_find_and_mem () =
+  let pt = Pagetable.create () in
+  Pagetable.attach pt (Pagetable.image sparse_entries);
+  check Alcotest.int "count" 7 (Pagetable.count pt);
+  List.iter
+    (fun (vpn, frame, prot, tag) ->
+      match Pagetable.find pt ~vpn with
+      | Some pte ->
+          check Alcotest.int (Printf.sprintf "frame at 0x%x" vpn) frame pte.Pagetable.frame;
+          check Alcotest.bool "prot" true (pte.Pagetable.prot = prot);
+          check Alcotest.(option int) "tag" tag pte.Pagetable.tag;
+          check Alcotest.bool "mem" true (Pagetable.mem pt ~vpn)
+      | None -> Alcotest.failf "vpn 0x%x not found" vpn)
+    sparse_entries;
+  List.iter
+    (fun vpn ->
+      check Alcotest.bool (Printf.sprintf "0x%x absent" vpn) true (Pagetable.find pt ~vpn = None);
+      check Alcotest.bool "not mem" false (Pagetable.mem pt ~vpn))
+    [ 0; data_vpn - 1; data_vpn + 3; heap_vpn - 1; heap_vpn + 2; tag_vpn - 1; tag_vpn + 1;
+      stack_vpn - 1; stack_vpn + 1; max_int ]
+
+let test_sparse_find_private_and_unmap () =
+  let img = Pagetable.image sparse_entries in
+  let pt = Pagetable.create () in
+  let sibling = Pagetable.create () in
+  Pagetable.attach pt img;
+  Pagetable.attach sibling img;
+  let e = Pagetable.epoch pt in
+  let shared = Option.get (Pagetable.find pt ~vpn:tag_vpn) in
+  let own = Option.get (Pagetable.find_private pt ~vpn:tag_vpn) in
+  check Alcotest.bool "private entry is a copy" false (own == shared);
+  own.Pagetable.tag <- Some 9;
+  check Alcotest.(option int) "shared entry untouched" (Some 3) shared.Pagetable.tag;
+  check Alcotest.bool "find serves the copy" true (Option.get (Pagetable.find pt ~vpn:tag_vpn) == own);
+  check Alcotest.int "copy-up keeps the epoch" e (Pagetable.epoch pt);
+  check Alcotest.int "copy-up keeps the count" 7 (Pagetable.count pt);
+  (match Pagetable.unmap pt ~vpn:heap_vpn with
+  | Some pte -> check Alcotest.int "unmap returns the entry" 103 pte.Pagetable.frame
+  | None -> Alcotest.fail "heap page not unmapped");
+  check Alcotest.bool "unmap moves the epoch" true (Pagetable.epoch pt > e);
+  check Alcotest.bool "unmapped" false (Pagetable.mem pt ~vpn:heap_vpn);
+  check Alcotest.bool "second unmap finds nothing" true (Pagetable.unmap pt ~vpn:heap_vpn = None);
+  check Alcotest.int "one fewer" 6 (Pagetable.count pt);
+  check Alcotest.bool "sibling still maps it" true (Pagetable.mem sibling ~vpn:heap_vpn);
+  check Alcotest.(option int) "sibling sees the image's tag" (Some 3)
+    (Option.get (Pagetable.find sibling ~vpn:tag_vpn)).Pagetable.tag;
+  check Alcotest.int "sibling count" 7 (Pagetable.count sibling)
+
+let test_sparse_iter_order () =
+  let img = Pagetable.image sparse_entries in
+  let seen = ref [] in
+  Pagetable.image_iter (fun vpn _ -> seen := vpn :: !seen) img;
+  check (Alcotest.list Alcotest.int) "image_iter ascends" sparse_vpns (List.rev !seen);
+  check Alcotest.int "image_count" 7 (Pagetable.image_count img);
+  let pt = Pagetable.create () in
+  Pagetable.map pt ~vpn:(heap_vpn + 5) ~frame:1 ~prot:Prot.page_rw ~tag:None;
+  Pagetable.attach pt img;
+  ignore (Pagetable.find_private pt ~vpn:(data_vpn + 1));
+  ignore (Pagetable.unmap pt ~vpn:stack_vpn);
+  let order = ref [] in
+  Pagetable.iter (fun vpn _ -> order := vpn :: !order) pt;
+  let order = List.rev !order in
+  let base = List.filter (fun v -> v <> data_vpn + 1 && v <> stack_vpn) sparse_vpns in
+  check (Alcotest.list Alcotest.int) "live base slots ascending, then the overlay" base
+    (List.filteri (fun i _ -> i < List.length base) order);
+  check (Alcotest.list Alcotest.int) "overlay last" [ data_vpn + 1; heap_vpn + 5 ]
+    (List.sort compare (List.filteri (fun i _ -> i >= List.length base) order));
+  check (Alcotest.list Alcotest.int) "fold visits the same"
+    (List.sort compare order)
+    (List.sort compare (Pagetable.fold (fun vpn _ acc -> vpn :: acc) pt []))
+
+let test_sparse_rejections () =
+  let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check Alcotest.bool "duplicate vpn" true
+    (rejected (fun () ->
+         Pagetable.image ((heap_vpn, 1, Prot.page_cow, None) :: sparse_entries)));
+  let img = Pagetable.image sparse_entries in
+  let pt = Pagetable.create () in
+  Pagetable.map pt ~vpn:tag_vpn ~frame:1 ~prot:Prot.page_rw ~tag:None;
+  check Alcotest.bool "attach over a sparse mapping" true (rejected (fun () -> Pagetable.attach pt img));
+  check Alcotest.int "table untouched" 1 (Pagetable.count pt);
+  (* Through Vm: a rejected attach takes no frame reference. *)
+  let pm, vm = mk_vm () in
+  let frames = Array.init 7 (fun _ -> Physmem.alloc pm) in
+  let img =
+    Pagetable.image (List.mapi (fun i vpn -> (vpn, frames.(i), Prot.page_cow, None)) sparse_vpns)
+  in
+  Vm.map_fresh vm ~addr:Layout.stack_base ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  check Alcotest.bool "Vm.attach_image over a mapping" true (rejected (fun () -> Vm.attach_image vm img));
+  Array.iter (fun f -> check Alcotest.int "no reference taken" 1 (Physmem.refcount pm f)) frames;
+  let other = Vm.create ~pid:2 pm (Clock.create ()) Cost_model.free in
+  Vm.attach_image other img;
+  Array.iter (fun f -> check Alcotest.int "attach takes one each" 2 (Physmem.refcount pm f)) frames
 
 (* Process iteration must be in ascending-pid order — Hashtbl.iter order
    depends on insertion history and hash-table internals, which made
@@ -894,6 +1019,13 @@ let () =
           Alcotest.test_case "unmap" `Quick test_pagetable_unmap;
           Alcotest.test_case "epoch on structural change" `Quick
             test_pagetable_epoch_moves_on_structural_change;
+        ] );
+      ( "sparse image",
+        [
+          Alcotest.test_case "find and mem" `Quick test_sparse_find_and_mem;
+          Alcotest.test_case "find_private and unmap" `Quick test_sparse_find_private_and_unmap;
+          Alcotest.test_case "iter order" `Quick test_sparse_iter_order;
+          Alcotest.test_case "rejections" `Quick test_sparse_rejections;
         ] );
       ( "base layer",
         [

@@ -73,6 +73,29 @@ let test_stamp_flat_vs_fresh_scaling () =
   check Alcotest.int "stamp flat across 10x image" s1 s2;
   check Alcotest.bool "stamp beats fresh" true (s1 < f1 && s2 < f2)
 
+(* The host side of the same claim: a stamp attaches the frozen image
+   instead of copying it entry by entry, so the words one stamp allocates
+   do not grow with the image — less than one word per extra page from a
+   60-page app to a 600-page one. *)
+let test_stamp_host_words_flat () =
+  let words pages =
+    let _, _, main = mk ~image_pages:pages () in
+    let w = ref 0. in
+    Fiber.run (fun () ->
+        let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+        ignore (W.Pool.stamp main pool noop 0);
+        let w0 = Gc.minor_words () in
+        ignore (W.Pool.stamp main pool noop 0);
+        w := Gc.minor_words () -. w0);
+    !w
+  in
+  let small = words 60 and large = words 600 in
+  check Alcotest.bool
+    (Printf.sprintf "stamp words %.0f (60 pages) -> %.0f (600 pages): < 1 word per page" small
+       large)
+    true
+    (large -. small < 540.)
+
 let test_stamp_cow_preserves_frozen_image () =
   let k, app, main = mk () in
   Fiber.run (fun () ->
@@ -292,6 +315,7 @@ let () =
         [
           Alcotest.test_case "freeze + stamp" `Quick test_freeze_stamp_basic;
           Alcotest.test_case "flat vs fresh scaling" `Quick test_stamp_flat_vs_fresh_scaling;
+          Alcotest.test_case "stamp host words flat" `Quick test_stamp_host_words_flat;
           Alcotest.test_case "COW preserves image" `Quick test_stamp_cow_preserves_frozen_image;
           Alcotest.test_case "discard" `Quick test_discard_releases_image;
           Alcotest.test_case "duplicate name" `Quick test_duplicate_freeze_name_refused;
